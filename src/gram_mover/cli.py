@@ -15,6 +15,7 @@ import logging
 import json
 import os
 import sys
+import zlib
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
@@ -36,6 +37,7 @@ from .mover import (
     EUCLIDEAN,
     GramHistogram,
     MoverIndex,
+    SolverError,
     prepare_histogram,
     topk_query,
 )
@@ -282,6 +284,19 @@ def _candidates_path(out: Path, method: str) -> Path:
     return out / f"candidates-{method}.jsonl"
 
 
+def save_solver_failure(out: Path, error: SolverError) -> Path:
+    """Write the failed transport instance (`a`, `b`, `cost` and the message)
+    as JSON under `<out>/solver-failures/`, named by its CRC-32, so the solve
+    can be replayed with `emd_exact`. (zlib, not hashlib: importing hashlib
+    loads OpenSSL, about 3 MB of resident memory on every run.)"""
+    text = json.dumps({"message": str(error), **error.instance}) + "\n"
+    folder = out / "solver-failures"
+    folder.mkdir(parents=True, exist_ok=True)
+    path = folder / f"{zlib.crc32(text.encode()):08x}.json"
+    _atomic_text(path, text)
+    return path
+
+
 # --- index persistence -------------------------------------------------------
 
 
@@ -430,6 +445,13 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     index_path = _require_artifact(_index_path(out, config.granularity), "build-index")
     index, granularity, method = load_index(index_path)
+    for name, built in (("metric", index.metric), ("granularity", granularity)):
+        if built != getattr(config, name):
+            raise ConfigError(
+                name,
+                f"{index_path} was built with {name} {built}, "
+                f"not {getattr(config, name)}; rerun build-index",
+            )
     ingredient_table = _load_ingredient_table(out)
     if ingredient_table is None:
         raise MissingArtifact(_ingredient_vectors_path(out), "train-embeddings")
@@ -454,11 +476,13 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     path = _candidates_path(out, method)
     _atomic_write(path, lambda tmp: save_pairs(pairs, tmp))
     logger.info(
-        "%d candidate pairs from %d queries (%d skipped, %d exact distance evaluations) to %s",
+        "%d candidate pairs from %d queries "
+        "(%d skipped, %d exact distance evaluations, %d pivots) to %s",
         len(pairs),
         stats.queries_total,
         len(stats.queries_skipped),
         stats.search.exact_evaluations,
+        stats.search.pivots,
         path,
     )
     return 0
@@ -644,6 +668,10 @@ def main(argv=None) -> int:
     except MissingArtifact as error:
         print(str(error), file=sys.stderr)
         return 3
+    except SolverError as error:
+        path = save_solver_failure(config.out_dir(), error)
+        print(f"solver error: {error}; instance written to {path}", file=sys.stderr)
+        return 4
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

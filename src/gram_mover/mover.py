@@ -1,10 +1,16 @@
 """Mover's distance between token histograms over an embedding ground space.
 
 The exact solver is a primal network simplex on the bipartite transportation
-graph with Bland's anti-cycling rule (entering arc = first negative reduced
-cost in row-major arc order; leaving arc = smallest-index minimizer). Top-k
-search prunes candidates with the relaxed one-sided lower bound (and the
-centroid bound under a Euclidean ground metric) without changing results.
+graph. It starts from a greedy matrix-minimum basis, keeps the spanning tree
+in plain lists (parent, flow to parent, depth, children) and the row and
+column potentials in numpy vectors, and prices by the most negative reduced
+cost over the full cost matrix. After a long run of degenerate pivots it
+switches to Bland's rule (entering arc = first negative reduced cost in
+row-major order; leaving arc = smallest-index minimizer), so it cannot cycle.
+The plan carries the final potentials, from which optimality can be checked
+independently. Top-k search prunes candidates with the relaxed one-sided
+lower bound (and the centroid bound under a Euclidean ground metric) without
+changing results, ties included.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ EUCLIDEAN = "euclidean"
 COST_CLAMP = 1e-12
 
 _REDUCED_COST_TOL = 1e-12
+
+#: a candidate is pruned only when its lower bound exceeds the k-th best
+#: distance by more than this: the bounds are exact only up to rounding (the
+#: centroid bound can land an ulp above an equal exact distance), and a
+#: pruned tie with a smaller doc id would change the result
+_PRUNE_SLACK = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -75,6 +87,9 @@ class CostMatrix:
 @dataclass(frozen=True)
 class TransportPlan:
     flow: np.ndarray  # (|supportA|, |supportB|), nonnegative
+    row_potential: np.ndarray  # (|supportA|,) dual u of the final basis
+    column_potential: np.ndarray  # (|supportB|,) dual v: cost - u - v >= -1e-12
+    pivots: int  # simplex pivots taken from the starting basis
 
 
 def nbow(tokens: TokenSeq, table: EmbeddingTable) -> GramHistogram:
@@ -120,189 +135,221 @@ def cost_matrix(
     return CostMatrix(values=_pairwise_cost(va, vb, metric), metric=metric)
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
-    m, n = len(a), len(b)
-    remaining_a = a.copy()
-    remaining_b = b.copy()
-    arcs = []
-    i = j = 0
-    for _ in range(m + n - 1):
-        flow = max(0.0, min(remaining_a[i], remaining_b[j]))
-        arcs.append((i, j, flow))
-        remaining_a[i] -= flow
-        remaining_b[j] -= flow
-        if i < m - 1 and (remaining_a[i] <= remaining_b[j] or j == n - 1):
-            i += 1
-        elif j < n - 1:
-            j += 1
-    return arcs
-
-
 def emd_exact(
     a: GramHistogram, b: GramHistogram, c: CostMatrix
 ) -> tuple[float, TransportPlan]:
     """Exact minimum-cost transport between the two histograms.
 
     Returns the optimal value and an attaining plan whose marginals match the
-    histogram weights to 1e-9.
+    histogram weights to 1e-9, together with the final potentials and the
+    number of pivots taken.
     """
     cost = np.ascontiguousarray(c.values, dtype=np.float64)
     m, n = cost.shape
     if m != len(a.support) or n != len(b.support):
         raise ValueError("cost matrix shape does not match histogram supports")
 
-    flow = _network_simplex(a.weights, b.weights, cost)
-    distance = float((flow * cost).sum())
-    row_err = np.abs(flow.sum(axis=1) - a.weights).max()
-    col_err = np.abs(flow.sum(axis=0) - b.weights).max()
-    if row_err > 1e-9 or col_err > 1e-9:
-        raise SolverError(
-            f"plan marginals off by ({row_err:.3g}, {col_err:.3g})",
-            instance={"a": a.weights.tolist(), "b": b.weights.tolist(), "cost": cost.tolist()},
+    try:
+        flow, row_potential, column_potential, pivots = _network_simplex(
+            a.weights, b.weights, cost
         )
-    return distance, TransportPlan(flow=flow)
+        row_err = np.abs(flow.sum(axis=1) - a.weights).max()
+        col_err = np.abs(flow.sum(axis=0) - b.weights).max()
+        if row_err > 1e-9 or col_err > 1e-9:
+            raise SolverError(f"plan marginals off by ({row_err:.3g}, {col_err:.3g})")
+    except SolverError as error:
+        error.instance = {"a": a.weights.tolist(), "b": b.weights.tolist(), "cost": cost.tolist()}
+        raise
+    distance = float((flow * cost).sum())
+    return distance, TransportPlan(
+        flow=flow,
+        row_potential=row_potential,
+        column_potential=column_potential,
+        pivots=pivots,
+    )
 
 
-def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Primal network simplex on the bipartite transportation graph.
+def _greedy_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[tuple[int, int, float]]:
+    """Matrix-minimum starting basis: m + n - 1 arcs forming a spanning tree.
 
-    Spanning-tree basis with parent pointers; potentials and depths are
-    maintained incrementally (a pivot shifts one re-rooted subtree by the
-    entering arc's reduced cost). Pricing is most-negative-reduced-cost,
-    switching to Bland's first-negative rule during degenerate stalls so
-    cycling is impossible; leaving-arc ties break on the smallest arc index.
+    Arcs are visited in stable cost order; an arc whose row and column are
+    both still open takes min(remaining supply, remaining demand) and retires
+    exactly one of the two (the row when it is exhausted, else the column).
+    Every component of the chosen arcs then holds at most one open line, so
+    no arc closes a cycle. Lines left open with (numerically) nothing to ship
+    are joined by zero-flow arcs in the same order, through union-find.
     """
     m, n = cost.shape
-    size = m + n  # node ids: 0..m-1 supplies, m..size-1 demands
+    order = np.argsort(cost, axis=None, kind="stable")
+    rows = (order // n).tolist()
+    cols = (order % n).tolist()
+    supply = a.tolist()
+    demand = b.tolist()
+    row_open = [True] * m
+    col_open = [True] * n
+    open_rows, open_cols = m, n
+    arcs = []
+    for i, j in zip(rows, cols):
+        if row_open[i] and col_open[j]:
+            moved = min(supply[i], demand[j])
+            supply[i] -= moved
+            demand[j] -= moved
+            arcs.append((i, j, moved))
+            if supply[i] <= demand[j]:
+                row_open[i] = False
+                open_rows -= 1
+            else:
+                col_open[j] = False
+                open_cols -= 1
+            if not open_rows or not open_cols:
+                break
+    if len(arcs) == m + n - 1:
+        return arcs
+
+    root = list(range(m + n))
+
+    def find(node):
+        while root[node] != node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    for i, j, _ in arcs:
+        root[find(i)] = find(m + j)
+    for i, j in zip(rows, cols):
+        ri, rj = find(i), find(m + j)
+        if ri != rj:
+            root[ri] = rj
+            arcs.append((i, j, 0.0))
+            if len(arcs) == m + n - 1:
+                break
+    return arcs
+
+
+def _network_simplex(
+    a: np.ndarray, b: np.ndarray, cost: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Primal network simplex on the bipartite transportation graph.
+
+    Returns the optimal flow, the row and column potentials u, v of the final
+    basis (u_i + v_j = cost_ij on its arcs, cost - u - v >= -1e-12 on all)
+    and the number of pivots taken.
+
+    - Start: the greedy matrix-minimum basis of `_greedy_basis`, so a
+      self-distance starts at its optimum (the cost-0 diagonal comes first).
+    - Tree: node ids 0..m-1 are rows, m..m+n-1 columns; the spanning tree is
+      rooted at node 0 and kept in plain lists (parent, flow on the arc to
+      the parent, depth, children). A pivot re-hangs the subtree cut off by
+      the leaving arc under the entering arc and shifts that subtree's
+      potentials by the entering arc's reduced cost.
+    - Pricing: most negative reduced cost over the full matrix.
+    - Anti-cycling: after more than m + n consecutive degenerate pivots the
+      entering arc becomes the first negative one in row-major order (Bland),
+      until a pivot moves flow. Leaving-arc ties always break on the smallest
+      row-major arc index.
+    """
+    m, n = cost.shape
+    size = m + n
+
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(size)]
+    for i, j, moved in _greedy_basis(a, b, cost):
+        adjacency[i].append((m + j, moved))
+        adjacency[m + j].append((i, moved))
 
     parent = [-1] * size
-    flow_up = [0.0] * size  # flow on the arc to parent
-    children: list[set] = [set() for _ in range(size)]
-
-    adjacency: list[dict[int, float]] = [dict() for _ in range(size)]
-    for i, j, flow in _northwest_corner(a, b):
-        adjacency[i][m + j] = flow
-        adjacency[m + j][i] = flow
-
-    # initial tree rooted at node 0
+    flow_up = [0.0] * size  # flow on the arc to the parent
     depth = [0] * size
-    seen = [False] * size
-    seen[0] = True
+    children: list[list[int]] = [[] for _ in range(size)]
+    potential = np.zeros(size, dtype=np.float64)  # indexed by node id
+    u, v = potential[:m], potential[m:]  # views: row and column potentials
+    potential_items = memoryview(potential)  # element access without numpy scalars
     stack = [0]
     while stack:
         node = stack.pop()
-        for neighbor, flow in adjacency[node].items():
-            if not seen[neighbor]:
-                seen[neighbor] = True
+        for neighbor, moved in adjacency[node]:
+            if neighbor != parent[node]:
                 parent[neighbor] = node
-                children[node].add(neighbor)
-                flow_up[neighbor] = flow
+                flow_up[neighbor] = moved
                 depth[neighbor] = depth[node] + 1
+                children[node].append(neighbor)
+                if neighbor < m:
+                    potential_items[neighbor] = cost[neighbor, node - m] - potential_items[node]
+                else:
+                    potential_items[neighbor] = cost[node, neighbor - m] - potential_items[node]
                 stack.append(neighbor)
-
-    potential = np.zeros(size, dtype=np.float64)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for child in children[node]:
-            if child < m:  # child is a supply, parent a demand
-                potential[child] = cost[child, node - m] - potential[node]
-            else:
-                potential[child] = cost[node, child - m] - potential[node]
-            stack.append(child)
 
     pivot_cap = 50 * size * size
     stall = 0  # consecutive degenerate pivots; long stalls engage Bland's rule
-    stall_limit = size
-
-    for _ in range(pivot_cap):
-        reduced = cost - potential[:m, None] - potential[None, m:]
-        flat_view = reduced.ravel()
-        if stall <= stall_limit:
-            entering_flat = int(np.argmin(flat_view))
-            if flat_view[entering_flat] >= -_REDUCED_COST_TOL:
+    reduced_matrix = np.empty_like(cost)
+    reduced = reduced_matrix.ravel()
+    for pivots in range(pivot_cap):
+        np.subtract(cost, u[:, None], out=reduced_matrix)
+        reduced_matrix -= v
+        if stall <= size:
+            entering = int(reduced.argmin())
+            if reduced[entering] >= -_REDUCED_COST_TOL:
                 break  # optimal
         else:
-            mask = flat_view < -_REDUCED_COST_TOL
-            entering_flat = int(np.argmax(mask))
-            if not mask[entering_flat]:
+            negative = reduced < -_REDUCED_COST_TOL
+            entering = int(negative.argmax())
+            if not negative[entering]:
                 break  # optimal
-        enter_i, enter_j = divmod(entering_flat, n)
+        enter_i, enter_j = divmod(entering, n)
         theta = _pivot(
-            parent,
-            children,
-            flow_up,
-            depth,
-            potential,
-            float(flat_view[entering_flat]),
-            enter_i,
-            m + enter_j,
-            m,
-            n,
+            parent, flow_up, depth, children, potential_items,
+            float(reduced[entering]), enter_i, enter_j, m, n,
         )
         stall = stall + 1 if theta <= 1e-15 else 0
     else:
-        raise SolverError(
-            f"no convergence within {pivot_cap} pivots",
-            instance={"a": a.tolist(), "b": b.tolist(), "cost": cost.tolist()},
-        )
+        raise SolverError(f"no convergence within {pivot_cap} pivots")
 
-    result = np.zeros((m, n), dtype=np.float64)
-    for node in range(size):
-        up = parent[node]
-        if up < 0:
-            continue
-        if node < m:
-            result[node, up - m] = flow_up[node]
-        else:
-            result[up, node - m] = flow_up[node]
-    return result
+    flow = np.zeros((m, n), dtype=np.float64)
+    rows = [node if node < m else parent[node] for node in range(1, size)]
+    cols = [parent[node] - m if node < m else node - m for node in range(1, size)]
+    flow[rows, cols] = flow_up[1:]
+    return flow, u, v, pivots
 
 
-def _pivot(parent, children, flow_up, depth, potential, reduced_cost, enter_a, enter_b, m, n):
-    """One basis exchange; returns the flow moved around the cycle."""
-    # path from each endpoint of the entering arc up to their junction
-    path_a = [enter_a]
-    path_b = [enter_b]
-    x, y = enter_a, enter_b
+def _pivot(parent, flow_up, depth, children, potential, reduced_cost, enter_i, enter_j, m, n):
+    """One basis exchange on entering arc (enter_i, enter_j); returns the flow
+    moved around the cycle."""
+    # Tree paths from both endpoints up to their junction. Pushing flow onto
+    # the entering arc takes it off the next arc on either side, then the
+    # signs alternate: on the row side the arcs that lose flow are those whose
+    # child is a row, on the column side those whose child is a column.
+    row_end, col_end = enter_i, m + enter_j
+    row_path, col_path = [], []
+    x, y = row_end, col_end
     while depth[x] > depth[y]:
+        row_path.append(x)
         x = parent[x]
-        path_a.append(x)
     while depth[y] > depth[x]:
+        col_path.append(y)
         y = parent[y]
-        path_b.append(y)
     while x != y:
+        row_path.append(x)
+        col_path.append(y)
         x = parent[x]
         y = parent[y]
-        path_a.append(x)
-        path_b.append(y)
 
-    # cycle arcs in traversal order starting after the entering arc, as
-    # (child_node, sign); signs alternate around the alternating cycle
-    cycle: list[tuple[int, float]] = []
-    sign = -1.0
-    for node in path_b[:-1]:  # enter_b up to the junction
-        cycle.append((node, sign))
-        sign = -sign
-    for node in reversed(path_a[:-1]):  # junction down to enter_a
-        cycle.append((node, sign))
-        sign = -sign
-
+    # ratio test in cycle order (column end up to the junction, then down to
+    # the row end), remembering on which side the leaving arc sits
     theta = np.inf
     leaving = -1
     leaving_key = -1
-    for node, arc_sign in cycle:
-        if arc_sign < 0:
+    leaving_on_row_side = False
+    for on_row_side, path in ((False, col_path), (True, reversed(row_path))):
+        for node in path:
+            if (node < m) != on_row_side:
+                continue  # this arc gains flow
             arc_flow = flow_up[node]
             up = parent[node]
             flat = node * n + (up - m) if node < m else up * n + (node - m)
             if leaving < 0 or arc_flow < theta - 1e-15:
                 theta = arc_flow
-                leaving = node
-                leaving_key = flat
+                leaving, leaving_key, leaving_on_row_side = node, flat, on_row_side
             elif arc_flow - theta <= 1e-15 and flat < leaving_key:
-                leaving = node
-                leaving_key = flat
+                leaving, leaving_key, leaving_on_row_side = node, flat, on_row_side
                 if arc_flow < theta:
                     theta = arc_flow
 
@@ -313,53 +360,41 @@ def _pivot(parent, children, flow_up, depth, potential, reduced_cost, enter_a, e
 
     theta = max(0.0, theta)
     if theta > 0.0:
-        for node, arc_sign in cycle:
-            updated = flow_up[node] + arc_sign * theta
+        for node in row_path:
+            updated = flow_up[node] + (-theta if node < m else theta)
+            flow_up[node] = updated if updated > 0.0 else 0.0
+        for node in col_path:
+            updated = flow_up[node] + (theta if node < m else -theta)
             flow_up[node] = updated if updated > 0.0 else 0.0
 
-    # reattach: reverse the tree path from the entering endpoint inside the
-    # detached subtree (the one hanging off the leaving arc) up to it
-    inside = enter_a if _in_subtree(parent, enter_a, leaving) else enter_b
-    outside = enter_b if inside == enter_a else enter_a
+    # re-hang: the endpoint inside the subtree cut off by the leaving arc
+    # becomes that subtree's root, attached to the other endpoint; the tree
+    # path from it up to the leaving arc's child reverses direction
+    if leaving_on_row_side:
+        inside, outside = row_end, col_end
+    else:
+        inside, outside = col_end, row_end
+    children[parent[leaving]].remove(leaving)
+    node, carried, new_parent = inside, theta, outside
+    while True:
+        up, up_flow = parent[node], flow_up[node]
+        parent[node] = new_parent
+        flow_up[node] = carried
+        children[new_parent].append(node)
+        if node == leaving:
+            break
+        children[up].remove(node)
+        node, carried, new_parent = up, up_flow, node
 
-    path = [inside]
-    while path[-1] != leaving:
-        path.append(parent[path[-1]])
-    children[parent[leaving]].discard(leaving)
-    for t in range(len(path) - 1):
-        children[path[t + 1]].discard(path[t])
-        children[path[t]].add(path[t + 1])
-    children[outside].add(inside)
-    old_flows = [flow_up[node] for node in path]
-    flow_up[inside] = theta
-    for t in range(len(path) - 1):
-        flow_up[path[t + 1]] = old_flows[t]
-    for t in range(len(path) - 1, 0, -1):
-        parent[path[t]] = path[t - 1]
-    parent[inside] = outside
-
-    # the re-rooted subtree hangs under `outside` via the entering arc; its
-    # potentials shift by the entering arc's reduced cost (sign depending on
-    # each node's side) and its depths are recomputed by one walk
-    supply_shift = reduced_cost if inside < m else -reduced_cost
-    stack = [inside]
-    depth[inside] = depth[outside] + 1
-    while stack:
-        node = stack.pop()
-        potential[node] += supply_shift if node < m else -supply_shift
-        node_depth = depth[node] + 1
-        for child in children[node]:
-            depth[child] = node_depth
-            stack.append(child)
+    # the re-hung subtree's potentials shift so that the entering arc's
+    # reduced cost becomes zero; its depths are recomputed by one walk
+    shift = reduced_cost if inside < m else -reduced_cost
+    subtree = [inside]
+    for node in subtree:  # grows while it is walked: breadth-first order
+        depth[node] = depth[parent[node]] + 1
+        potential[node] += shift if node < m else -shift
+        subtree += children[node]
     return theta
-
-
-def _in_subtree(parent, node, subtree_root):
-    while node >= 0:
-        if node == subtree_root:
-            return True
-        node = parent[node]
-    return False
 
 
 def wcd(a: GramHistogram, b: GramHistogram, table: EmbeddingTable, metric: str = EUCLIDEAN) -> float:
@@ -419,6 +454,7 @@ class SearchStats:
     exact_evaluations: int = 0
     bound_computations: int = 0
     pruned: int = 0
+    pivots: int = 0  # simplex pivots summed over the exact evaluations
 
 
 def prepare_histogram(
@@ -471,7 +507,8 @@ def topk_query(
 ) -> list[tuple[str, float]]:
     """The k nearest indexed documents by exact mover distance, ascending,
     ties broken by doc id. Pruning skips the exact solve whenever a lower
-    bound exceeds the current k-th best; results are identical either way.
+    bound exceeds the current k-th best by more than rounding; results are
+    identical either way, ties included.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -506,13 +543,14 @@ def topk_query(
         worst_kth = np.inf
         best_heap: list[float] = []  # max-heap (negated) of the k best distances
         for bound, doc_id, entry, cost in bounds:
-            if len(best_heap) == k and bound > worst_kth:
+            if len(best_heap) == k and bound > worst_kth + _PRUNE_SLACK:
                 if stats is not None:
                     stats.pruned += len(bounds) - len(evaluated)
                 break
-            distance, _ = emd_exact(prepared_query.hist, entry.hist, cost)
+            distance, plan = emd_exact(prepared_query.hist, entry.hist, cost)
             if stats is not None:
                 stats.exact_evaluations += 1
+                stats.pivots += plan.pivots
             evaluated.append((distance, doc_id))
             if len(best_heap) < k:
                 heapq.heappush(best_heap, -distance)
@@ -525,9 +563,10 @@ def topk_query(
 
 def _exact_distance(query: PreparedDoc, entry: PreparedDoc, metric, stats) -> float:
     cost = _pair_cost(query, entry, metric)
-    distance, _ = emd_exact(query.hist, entry.hist, cost)
+    distance, plan = emd_exact(query.hist, entry.hist, cost)
     if stats is not None:
         stats.exact_evaluations += 1
+        stats.pivots += plan.pivots
     return distance
 
 
@@ -540,7 +579,9 @@ def _topk_parallel(prepared_query, bounds, k, metric, evaluated, stats, threads)
     # shared monotonically tightening threshold; workers claim candidates in
     # bound order off a shared cursor
     lock = threading.Lock()
-    state = {"cursor": 0, "heap": [], "worst": np.inf, "stats_exact": 0, "stats_pruned": 0}
+    state = {
+        "cursor": 0, "heap": [], "worst": np.inf, "stats_exact": 0, "stats_pruned": 0, "pivots": 0
+    }
 
     def worker():
         while True:
@@ -549,14 +590,15 @@ def _topk_parallel(prepared_query, bounds, k, metric, evaluated, stats, threads)
                 if position >= len(bounds):
                     return
                 bound, doc_id, entry, cost = bounds[position]
-                if len(state["heap"]) == k and bound > state["worst"]:
+                if len(state["heap"]) == k and bound > state["worst"] + _PRUNE_SLACK:
                     state["stats_pruned"] += len(bounds) - position
                     state["cursor"] = len(bounds)
                     return
                 state["cursor"] = position + 1
-            distance, _ = emd_exact(prepared_query.hist, entry.hist, cost)
+            distance, plan = emd_exact(prepared_query.hist, entry.hist, cost)
             with lock:
                 state["stats_exact"] += 1
+                state["pivots"] += plan.pivots
                 evaluated.append((distance, doc_id))
                 if len(state["heap"]) < k:
                     heapq.heappush(state["heap"], -distance)
@@ -573,6 +615,7 @@ def _topk_parallel(prepared_query, bounds, k, metric, evaluated, stats, threads)
     if stats is not None:
         stats.exact_evaluations += state["stats_exact"]
         stats.pruned += state["stats_pruned"]
+        stats.pivots += state["pivots"]
 
 
 def plan_to_tsv(plan: TransportPlan, cost: CostMatrix) -> str:

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the fast code paths.
 
 Everything here trades speed for obviousness: the transport oracle
-enumerates basic feasible solutions outright, the stump oracle scans
-every candidate threshold, and the gradient check uses central
-differences.  None of it shares code with the package under test.
+enumerates basic feasible solutions outright, the optimality certificate
+checks a plan against its dual potentials, the stump oracle scans every
+candidate threshold, and the gradient check uses central differences.
+None of it shares code with the package under test.
 """
 from __future__ import annotations
 
@@ -33,6 +34,39 @@ def oracle_emd(weights_a, weights_b, cost):
     if best is None:
         raise AssertionError("no feasible spanning tree found")
     return best
+
+
+def certify_optimal(weights_a, weights_b, cost, plan, tol):
+    """Certify that `plan` is a minimum-cost transport plan.
+
+    By weak duality, sum(f * c) >= a.u + b.v for every feasible flow f and
+    all potentials with c - u - v >= 0; a feasible plan whose cost equals
+    the dual value of feasible potentials is therefore optimal.  Checks, up
+    to `tol`: flows nonnegative with marginals a and b (to 1e-9), every
+    reduced cost c - u - v >= -tol, and primal cost equal to dual value.
+    Raises AssertionError naming the condition that fails.
+    """
+    weights_a = np.asarray(weights_a, dtype=float)
+    weights_b = np.asarray(weights_b, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    flow = np.asarray(plan.flow, dtype=float)
+    u = np.asarray(plan.row_potential, dtype=float)
+    v = np.asarray(plan.column_potential, dtype=float)
+    if flow.shape != cost.shape or u.shape != weights_a.shape or v.shape != weights_b.shape:
+        raise AssertionError("plan shapes do not match the instance")
+    if flow.min() < 0:
+        raise AssertionError(f"negative flow {flow.min()!r}")
+    row_err = np.abs(flow.sum(axis=1) - weights_a).max()
+    col_err = np.abs(flow.sum(axis=0) - weights_b).max()
+    if row_err > 1e-9 or col_err > 1e-9:
+        raise AssertionError(f"marginals off by ({row_err:.3g}, {col_err:.3g})")
+    worst_reduced = (cost - u[:, None] - v[None, :]).min()
+    if worst_reduced < -tol:
+        raise AssertionError(f"dual infeasible: reduced cost {worst_reduced!r}")
+    primal = float((flow * cost).sum())
+    dual = float(weights_a @ u + weights_b @ v)
+    if abs(primal - dual) > tol:
+        raise AssertionError(f"duality gap: primal {primal!r}, dual {dual!r}")
 
 
 def _tree_cost(subset, edges, weights_a, weights_b, cost, m):

@@ -7,6 +7,7 @@ import json
 import logging
 from datetime import date
 
+import numpy as np
 import pytest
 
 from gram_mover.cli import (
@@ -25,8 +26,10 @@ from gram_mover.corpus import (
     save_corpus,
 )
 from gram_mover.embed import load_vectors
+from gram_mover.mover import CostMatrix, GramHistogram, SolverError, emd_exact
 from gram_mover.pipeline import CandidatePair, load_pairs, save_pairs
 from gram_mover.synth import load_truth
+from oracles import certify_optimal
 
 SMALL_SYNTH = (
     "--seed", 11, "--train-size", 40, "--planted", 6, "--fresh", 3, "--pool-size", 30,
@@ -466,3 +469,57 @@ class TestFullChain:
         external = load_pairs(out / "candidates-gram3-external.jsonl")
         assert external
         assert all(pair.method == "gram3-external" for pair in external)
+
+
+def _copy_chain_inputs(chain, out):
+    """A fresh artifact directory holding the chain's corpus and vectors."""
+    out.mkdir()
+    for name in ("corpus.jsonl", "embeddings-gram3.vec", "embeddings-ingredients.vec"):
+        (out / name).write_bytes((chain / name).read_bytes())
+    return out
+
+
+class TestExtractionChecks:
+    def test_index_metric_must_match_the_configuration(self, chain, tmp_path, capsys):
+        out = _copy_chain_inputs(chain, tmp_path / "metric")
+        corpus = out / "corpus.jsonl"
+        assert run("build-index", "--corpus", corpus, "--out", out, "--metric", "euclidean") == 0
+        capsys.readouterr()
+        code = run(
+            "extract-candidates", "--corpus", corpus, "--out", out, "--metric", "cosine", "--k", 5
+        )
+        assert code == 2
+        assert "metric" in capsys.readouterr().err
+        assert not (out / "candidates-gram3-sgns.jsonl").exists()
+
+    def test_solver_failure_leaves_a_replayable_instance(
+        self, chain, tmp_path, capsys, monkeypatch
+    ):
+        out = _copy_chain_inputs(chain, tmp_path / "failure")
+        corpus = out / "corpus.jsonl"
+        assert run("build-index", "--corpus", corpus, "--out", out) == 0
+
+        def failing_solver(a, b, cost):
+            raise SolverError("forced failure")
+
+        monkeypatch.setattr("gram_mover.mover._network_simplex", failing_solver)
+        capsys.readouterr()
+        code = run("extract-candidates", "--corpus", corpus, "--out", out, "--k", 5)
+        assert code == 4
+        err = capsys.readouterr().err
+        written = list((out / "solver-failures").glob("*.json"))
+        assert len(written) == 1
+        assert str(written[0]) in err
+        monkeypatch.undo()
+
+        record = json.loads(written[0].read_text(encoding="utf-8"))
+        assert "forced failure" in record["message"]
+        cost = CostMatrix(values=np.asarray(record["cost"]), metric="cosine")
+        a = GramHistogram(
+            support=np.arange(len(record["a"])), weights=np.asarray(record["a"]), granularity="gram3"
+        )
+        b = GramHistogram(
+            support=np.arange(len(record["b"])), weights=np.asarray(record["b"]), granularity="gram3"
+        )
+        _, plan = emd_exact(a, b, cost)
+        certify_optimal(a.weights, b.weights, cost.values, plan, tol=1e-9)

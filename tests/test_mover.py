@@ -1,10 +1,11 @@
-"""Transport core: exactness against a vertex-enumeration oracle, the
-lower-bound chain, and pruned search equivalence."""
+"""Transport core: exactness against a vertex-enumeration oracle and an
+optimality certificate, the lower-bound chain, and pruned search
+equivalence."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRAM3, make_cost, make_histogram, make_table, random_instance
@@ -14,6 +15,7 @@ from gram_mover.mover import (
     CostMatrix,
     SearchStats,
     SolverError,
+    TransportPlan,
     build_index,
     cost_matrix,
     emd_exact,
@@ -26,7 +28,7 @@ from gram_mover.mover import (
     wcd,
 )
 from gram_mover.tokenize import TokenSeq, char_ngrams
-from oracles import oracle_emd
+from oracles import certify_optimal, oracle_emd
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -170,6 +172,44 @@ class TestEmdExact:
         np.testing.assert_allclose(plan.flow.sum(axis=1), hist.weights, atol=1e-9)
 
 
+class TestOptimalityCertificate:
+    """Duality certificate at realistic support sizes, where vertex
+    enumeration is out of reach. Uniform weights and rounded costs make
+    nearly every pivot degenerate and the optimum highly non-unique."""
+
+    @staticmethod
+    def _check(seed, size):
+        rng = np.random.default_rng(seed)
+        hist = make_histogram(np.ones(size))
+        values = np.round(rng.random((size, size)), int(rng.integers(1, 3)))
+        distance, plan = emd_exact(hist, hist, make_cost(values))
+        certify_optimal(hist.weights, hist.weights, values, plan, tol=1e-9)
+        assert distance == pytest.approx(float((plan.flow * values).sum()), abs=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=seeds)
+    def test_certified_at_45(self, seed):
+        self._check(seed, 45)
+
+    @settings(deadline=None, max_examples=8)
+    @given(seed=seeds)
+    def test_certified_at_200(self, seed):
+        self._check(seed, 200)
+
+    def test_certificate_rejects_suboptimal_plan(self):
+        a = make_histogram([0.5, 0.5])
+        cost = make_cost([[0.1, 0.9], [0.8, 0.2]])
+        _, plan = emd_exact(a, a, cost)
+        swapped = TransportPlan(
+            flow=plan.flow[::-1].copy(),
+            row_potential=plan.row_potential,
+            column_potential=plan.column_potential,
+            pivots=plan.pivots,
+        )
+        with pytest.raises(AssertionError, match="duality gap"):
+            certify_optimal(a.weights, a.weights, cost.values, swapped, tol=1e-9)
+
+
 class TestLowerBounds:
     def test_rwmd_zero_on_identity(self):
         hist = make_histogram([0.5, 0.5])
@@ -295,6 +335,43 @@ class TestTopkQuery:
         assert stats.exact_evaluations < 120
         assert stats.pruned == 120 - stats.exact_evaluations
 
+    @settings(deadline=None, max_examples=25)
+    @example(seed=134)  # Euclidean k=2: pruning without slack dropped a tie
+    @example(seed=215)  # Euclidean k=4 and k=5, likewise
+    @given(seed=seeds)
+    def test_pruned_equals_exhaustive_under_heavy_ties(self, seed):
+        # six tokens on a small integer grid make many equal distances; the
+        # centroid bound can then sit an ulp above an exact tie
+        rng = np.random.default_rng(seed)
+        vectors = rng.integers(-2, 3, size=(6, 3))
+        table = make_table({f"t{i}": vectors[i] for i in range(6)})
+
+        def doc():
+            ids = rng.integers(0, 6, size=int(rng.integers(2, 7)))
+            return TokenSeq(tokens=tuple(f"t{i}" for i in ids), granularity=GRAM3)
+
+        docs = [(f"d{d:02d}", doc()) for d in range(40)]
+        query = doc()
+        for metric in (COSINE, EUCLIDEAN):
+            index = build_index(docs, table, metric)
+            for k in range(1, 6):
+                pruned = topk_query(query, index, k, pruning=True)
+                assert pruned == topk_query(query, index, k, pruning=False), (metric, k)
+
+    def test_pivot_count_repeats_exactly(self):
+        rng = np.random.default_rng(10)
+        table, docs = _random_corpus(rng, 40)
+        index = build_index(docs, table, COSINE)
+        counts = []
+        for threads in (1, 1, 3):
+            stats = SearchStats()
+            for q in range(4):
+                topk_query(docs[q][1], index, k=5, stats=stats, threads=threads)
+            counts.append((stats.exact_evaluations, stats.pivots))
+        assert counts[0] == counts[1]
+        assert counts[0][1] > 0
+        assert counts[2][1] > 0
+
     def test_threads_give_identical_results(self):
         rng = np.random.default_rng(9)
         table, docs = _random_corpus(rng, 50)
@@ -354,3 +431,16 @@ class TestSolverError:
         err = SolverError("boom", instance={"a": [1.0]})
         assert err.instance == {"a": [1.0]}
         assert "boom" in str(err)
+
+    def test_emd_exact_attaches_the_instance(self, monkeypatch):
+        def fail(a, b, cost):
+            raise SolverError("no convergence")
+
+        monkeypatch.setattr("gram_mover.mover._network_simplex", fail)
+        a = make_histogram([0.25, 0.75])
+        b = make_histogram([1.0])
+        with pytest.raises(SolverError) as caught:
+            emd_exact(a, b, make_cost([[0.5], [0.25]]))
+        assert caught.value.instance == {
+            "a": [0.25, 0.75], "b": [1.0], "cost": [[0.5], [0.25]]
+        }
