@@ -50,6 +50,7 @@ from .classify import (
     Metrics,
     examples_from_pairs,
     f1_score,
+    logistic_hessian,
     logistic_loss_and_grad,
     loocv_grid_search,
     metrics,
@@ -72,6 +73,7 @@ from .pipeline import (
     build_tfidf_index,
     compare_methods,
     extract_candidates,
+    ingredient_sgns_config,
     instruction_tokens,
     load_pairs,
     save_pairs,

@@ -4,6 +4,11 @@ Candidate pairs are classified positive (near-duplicate) or negative from
 (instruction distance, ingredients distance): undersampling to balance,
 then logistic regression or a random forest, tuned by grid search under
 leave-one-out cross-validation with pooled confusion metrics.
+
+Logistic regression is fitted by damped Newton steps (IRLS) on its three
+parameters. The forest grid search grows one forest per fold at the grid's
+largest tree count and depth; every grid point reads its votes from a
+prefix of that forest, cut off at the point's depth.
 """
 
 from __future__ import annotations
@@ -22,7 +27,11 @@ LOGISTIC = "logistic-regression"
 FOREST = "random-forest"
 
 GRADIENT_TOLERANCE = 1e-8
-MAX_GRADIENT_STEPS = 10_000
+MAX_NEWTON_STEPS = 50
+MAX_CONDITION = 1e12  # Hessians worse than this count as singular
+ARMIJO_SLOPE = 1e-4
+LOSS_ROUNDING = 16 * np.finfo(np.float64).eps
+MAX_HALVINGS = 60
 
 DEFAULT_LOGISTIC_GRID = tuple(
     {"regularization": strength} for strength in (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -111,12 +120,33 @@ def logistic_loss_and_grad(
     z = features @ weights + bias
     loss = float(np.mean(np.logaddexp(0.0, -signs * z)))
     loss += 0.5 * regularization * float(weights @ weights)
-    # d/dz logaddexp(0, -sz) = -s * sigmoid(-s z)
-    coeff = -signs / (1.0 + np.exp(signs * z)) / len(labels)
+    # d/dz logaddexp(0, -sz) = -s * sigmoid(-s z) = -s * exp(-logaddexp(0, s z)),
+    # which cannot overflow
+    coeff = -signs * np.exp(-np.logaddexp(0.0, signs * z)) / len(labels)
     grad = np.empty_like(params)
     grad[:-1] = features.T @ coeff + regularization * weights
     grad[-1] = float(coeff.sum())
     return loss, grad
+
+
+def logistic_hessian(
+    params: np.ndarray, features: np.ndarray, labels: np.ndarray, regularization: float
+) -> np.ndarray:
+    """Hessian of `logistic_loss_and_grad`'s loss: [X 1]^T diag(p(1-p)) [X 1] / n
+    plus `regularization` on the weight diagonal (the bias is unpenalized).
+
+    The curvature p(1-p) does not depend on the labels; they are taken so the
+    signature matches the loss. Computed as exp(-softplus(z) - softplus(-z)),
+    which neither overflows nor cancels at large |z|.
+    """
+    del labels
+    z = features @ params[:-1] + params[-1]
+    curvature = np.exp(-np.logaddexp(0.0, z) - np.logaddexp(0.0, -z)) / len(z)
+    design = np.hstack([features, np.ones((len(z), 1))])
+    hessian = design.T @ (curvature[:, None] * design)
+    weights = np.arange(len(params) - 1)
+    hessian[weights, weights] += regularization
+    return hessian
 
 
 @dataclass
@@ -144,10 +174,13 @@ class LogisticModel:
 
 
 def train_logreg(examples: Sequence[LabeledExample], regularization: float = 1.0) -> LogisticModel:
-    """Full-batch gradient descent on the regularized logistic loss with a
-    fixed step from the gradient's Lipschitz bound, run to gradient norm
-    below 1e-8 or 10,000 steps. Features are z-scored with statistics kept
-    in the model."""
+    """Damped Newton (IRLS) on the regularized logistic loss, from zero, run
+    to gradient norm below 1e-8 or 50 steps. Each step solves the 3x3
+    Hessian system and halves its length until the Armijo sufficient-decrease
+    test passes. A singular Hessian (regularization 0 on separable data)
+    falls back to the gradient direction; a fit that stops short of the
+    tolerance returns `converged=False` (logged) with finite parameters.
+    Features are z-scored with statistics kept in the model."""
     if regularization < 0:
         raise ValueError("regularization must be >= 0")
     x, y = _feature_matrix(examples)
@@ -156,22 +189,32 @@ def train_logreg(examples: Sequence[LabeledExample], regularization: float = 1.0
     scale[scale == 0.0] = 1.0
     x_std = (x - mean) / scale
 
-    n, dim = x_std.shape
-    # Lipschitz bound on the gradient: mean-loss curvature is at most
-    # ||[X 1]||_F^2 / (4n); the penalty adds at most `regularization`
-    lipschitz = (float((x_std ** 2).sum()) + n) / (4.0 * n) + regularization
-    step = 1.0 / lipschitz
-
-    params = np.zeros(dim + 1)
-    converged = False
-    for _ in range(MAX_GRADIENT_STEPS):
-        _, grad = logistic_loss_and_grad(params, x_std, y, regularization)
+    params = np.zeros(x_std.shape[1] + 1)
+    loss, grad = logistic_loss_and_grad(params, x_std, y, regularization)
+    for _ in range(MAX_NEWTON_STEPS):
         if float(np.linalg.norm(grad)) < GRADIENT_TOLERANCE:
-            converged = True
             break
-        params = params - step * grad
+        hessian = logistic_hessian(params, x_std, y, regularization)
+        if np.linalg.cond(hessian) < MAX_CONDITION:
+            direction = -np.linalg.solve(hessian, grad)
+        else:
+            direction = -grad
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            candidate = params + step * direction
+            new_loss, new_grad = logistic_loss_and_grad(candidate, x_std, y, regularization)
+            # the slack absorbs rounding in the loss, which near the optimum
+            # exceeds the decrease the step promises
+            if new_loss <= loss + ARMIJO_SLOPE * step * slope + LOSS_ROUNDING * loss:
+                break
+            step *= 0.5
+        else:
+            break  # no step decreases the loss in floating point
+        params, loss, grad = candidate, new_loss, new_grad
+    converged = float(np.linalg.norm(grad)) < GRADIENT_TOLERANCE
     if not converged:
-        logger.info("gradient descent hit the step cap at |grad| %.3g", np.linalg.norm(grad))
+        logger.info("Newton fit stopped short at |grad| %.3g", np.linalg.norm(grad))
     return LogisticModel(
         weights=params[:-1],
         bias=float(params[-1]),
@@ -241,11 +284,14 @@ def _best_split(x: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
 
 
 def _build_tree(x: np.ndarray, y: np.ndarray, depth_left: int) -> _Node:
+    """Every node, internal ones included, carries its sample's majority
+    label, so cutting the tree at level d gives the tree grown to depth d."""
+    label = _majority(y)
     if depth_left == 0 or len(y) < 2 or bool(y.all()) or not bool(y.any()):
-        return _Node(label=_majority(y))
+        return _Node(label=label)
     split = _best_split(x, y)
     if split is None:
-        return _Node(label=_majority(y))
+        return _Node(label=label)
     feature, threshold = split
     mask = x[:, feature] <= threshold
     return _Node(
@@ -253,22 +299,25 @@ def _build_tree(x: np.ndarray, y: np.ndarray, depth_left: int) -> _Node:
         threshold=threshold,
         left=_build_tree(x[mask], y[mask], depth_left - 1),
         right=_build_tree(x[~mask], y[~mask], depth_left - 1),
+        label=label,
     )
 
 
-def _tree_predict(node: _Node, features: np.ndarray) -> np.ndarray:
+def _tree_predict(node: _Node, features: np.ndarray, depth: int | None = None) -> np.ndarray:
+    """Leaf labels, or with `depth` the labels of the nodes at that level
+    where a path runs deeper."""
     out = np.zeros(len(features), dtype=bool)
-    stack = [(node, np.arange(len(features)))]
+    stack = [(node, np.arange(len(features)), 0)]
     while stack:
-        current, idx = stack.pop()
+        current, idx, level = stack.pop()
         if len(idx) == 0:
             continue
-        if current.is_leaf:
+        if current.is_leaf or level == depth:
             out[idx] = current.label
             continue
         mask = features[idx, current.feature] <= current.threshold
-        stack.append((current.left, idx[mask]))
-        stack.append((current.right, idx[~mask]))
+        stack.append((current.left, idx[mask], level + 1))
+        stack.append((current.right, idx[~mask], level + 1))
     return out
 
 
@@ -283,11 +332,13 @@ class ForestModel:
     def kind(self) -> str:
         return FOREST
 
-    def tree_votes(self, features: np.ndarray) -> np.ndarray:
+    def tree_votes(self, features: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Per-tree boolean votes, shape (trees, examples), in training
-        order so a prefix reproduces a smaller forest with the same seed."""
+        order so a prefix reproduces a smaller forest with the same seed.
+        With `depth`, every tree is cut off at that level, which reproduces
+        the forest grown with `max_depth=depth` and the same seed."""
         features = np.asarray(features, dtype=np.float64)
-        return np.array([_tree_predict(tree, features) for tree in self.trees])
+        return np.array([_tree_predict(tree, features, depth) for tree in self.trees])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         votes = self.tree_votes(features)
@@ -303,9 +354,11 @@ def train_random_forest(
     bootstrap: bool = True,
 ) -> ForestModel:
     """Bootstrap-sampled Gini trees with deterministic splits; only the
-    bootstrap draw consumes randomness, so with a fixed seed the first t
-    trees of a larger forest equal the t-tree forest. `bootstrap=False`
-    trains every tree on the full sample (for oracle comparisons)."""
+    bootstrap draw consumes randomness, and it does not depend on the depth.
+    So with a fixed seed the first t trees of a larger forest equal the
+    t-tree forest, and a deeper forest cut at depth d (`tree_votes(...,
+    depth=d)`) equals the depth-d forest. `bootstrap=False` trains every
+    tree on the full sample (for oracle comparisons)."""
     if trees < 1:
         raise ValueError("trees must be >= 1")
     if max_depth < 1:
@@ -377,15 +430,25 @@ def loocv_grid_search(
     F1 wins, ties going to the earlier point in the grid's declared order.
 
     A training fold collapsing to a single class predicts that class for
-    its held-out example (logged). Forest grid points sharing a depth reuse
-    one forest per fold: with deterministic splits, the first t trees of
-    the largest forest are exactly the t-tree forest.
+    its held-out example (logged). Logistic grid points fit one Newton
+    model each per fold. The forest grid grows one forest per fold, with
+    the grid's largest tree count and depth, and reads every point from it:
+    the bootstrap draw is the only randomness and does not depend on the
+    depth, so the first t trees cut at level d are exactly the forest
+    trained with t trees and depth d.
     """
     if len(examples) < 2:
         raise ValueError("leave-one-out needs at least 2 examples")
     grid = list(grid) if grid is not None else list(default_grid(kind))
     if not grid:
         raise ValueError("grid must be non-empty")
+    if kind not in (LOGISTIC, FOREST):
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    if kind == FOREST:
+        widest = max(params["trees"] for params in grid)
+        deepest = max(params["depth"] for params in grid)
+        if min(min(params["trees"], params["depth"]) for params in grid) < 1:
+            raise ValueError("every forest grid point needs trees >= 1 and depth >= 1")
 
     n = len(examples)
     labels = np.array([e.label for e in examples], dtype=bool)
@@ -404,22 +467,15 @@ def loocv_grid_search(
             for g, params in enumerate(grid):
                 model = train_logreg(fold, **params)
                 predictions[g, i] = bool(model.predict(held_out)[0])
-        elif kind == FOREST:
-            by_depth: dict[int, list[int]] = {}
-            for g, params in enumerate(grid):
-                by_depth.setdefault(params["depth"], []).append(g)
-            for depth, members in by_depth.items():
-                widest = max(grid[g]["trees"] for g in members)
-                forest = train_random_forest(
-                    fold, trees=widest, max_depth=depth, seed=seed
-                )
-                votes = forest.tree_votes(held_out)[:, 0]
-                for g in members:
-                    t = grid[g]["trees"]
-                    positives = int(votes[:t].sum())
-                    predictions[g, i] = positives > t - positives
         else:
-            raise ValueError(f"unknown classifier kind {kind!r}")
+            forest = train_random_forest(fold, trees=widest, max_depth=deepest, seed=seed)
+            votes_at: dict[int, np.ndarray] = {}
+            for g, params in enumerate(grid):
+                depth, t = params["depth"], params["trees"]
+                if depth not in votes_at:
+                    votes_at[depth] = forest.tree_votes(held_out, depth=depth)[:, 0]
+                positives = int(votes_at[depth][:t].sum())
+                predictions[g, i] = positives > t - positives
 
     if degenerate_folds:
         logger.warning("%d folds had single-class training data", degenerate_folds)

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import Callable
@@ -50,6 +50,7 @@ from .pipeline import (
     comparison_text,
     extract_candidates,
     extract_with_retriever,
+    ingredient_sgns_config,
     load_pairs,
     nbow_histograms,
     save_pairs,
@@ -396,7 +397,12 @@ def _cmd_train_embeddings(config: CliConfig, args: argparse.Namespace) -> int:
     _atomic_write(path, lambda tmp: save_vectors(table, tmp))
     logger.info("wrote %d instruction vectors to %s", len(table.vocab.tokens), path)
 
-    ingredient_table = train_ingredient_table(train, seed=config.seed + 1)
+    ingredient_config = ingredient_sgns_config(seed=config.seed + 1)
+    logger.info(
+        "ingredient embeddings use fixed settings, not the SGNS flags: %s",
+        " ".join(f"{name}={value}" for name, value in asdict(ingredient_config).items()),
+    )
+    ingredient_table = train_ingredient_table(train, ingredient_config)
     if ingredient_table is not None:
         ing_path = _ingredient_vectors_path(out)
         _atomic_write(ing_path, lambda tmp: save_vectors(ingredient_table, tmp))
@@ -612,12 +618,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threshold", type=int, help="ingredients-distance filter")
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="artifact directory")
-    common.add_argument("--threads", type=int, help="worker threads (1 = reproducible)")
+    common.add_argument(
+        "--threads",
+        type=int,
+        help="search worker threads for extract-candidates (1 = reproducible); "
+        "other subcommands run on one thread and warn when this is not 1",
+    )
     common.add_argument("--verbose", action="store_true")
+    sgns_help = "SGNS setting for the instruction embeddings only; the ingredient table's are fixed"
     for name in ("dimension", "window", "negatives", "epochs", "min-count", "noise-table-size"):
-        common.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
+        common.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, help=sgns_help)
     for name in ("subsample-threshold", "initial-step-size", "final-step-size"):
-        common.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
+        common.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, help=sgns_help)
     common.add_argument(
         "--baseline-words",
         dest="baseline_words",
@@ -660,6 +672,13 @@ def main(argv=None) -> int:
     except ConfigError as error:
         print(f"config error: {error}", file=sys.stderr)
         return 2
+    if config.threads != 1 and args.command != "extract-candidates":
+        logger.warning(
+            "threads=%d (from --threads, the config file or GRAM_MOVER_THREADS) "
+            "is ignored: %s runs on one thread",
+            config.threads,
+            args.command,
+        )
     try:
         return _COMMANDS[args.command](config, args)
     except ConfigError as error:

@@ -52,7 +52,7 @@ class SgnsConfig:
     subsample_threshold: float = 1e-4  # <= 0 disables subsampling
     min_count: int = 5
     seed: int = 1
-    noise_table_size: int = 10_000_000
+    noise_table_size: int = 10_000_000  # resolution of the noise draws; no table is built
 
     def validated(self) -> "SgnsConfig":
         for name in ("dimension", "window", "negatives", "epochs", "min_count", "noise_table_size"):
@@ -115,12 +115,21 @@ def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:
     )
 
 
-def _noise_table(counts: np.ndarray, size: int) -> np.ndarray:
+def _noise_cumulative(counts: np.ndarray) -> np.ndarray:
+    """Cumulative unigram^(3/4) distribution over the vocab, its last entry
+    raised to infinity so that positions past a rounded-down total still
+    land on the last id."""
     weights = counts.astype(np.float64) ** 0.75
     cumulative = np.cumsum(weights / weights.sum())
-    positions = (np.arange(size) + 0.5) / size
-    table = np.searchsorted(cumulative, positions)
-    return np.minimum(table, len(counts) - 1).astype(np.int32)
+    cumulative[-1] = np.inf
+    return cumulative
+
+
+def _noise_lookup(cumulative: np.ndarray, draws: np.ndarray, size: int) -> np.ndarray:
+    """Vocab ids of noise draws in [0, size): draw i stands for the i-th of
+    `size` evenly spaced positions in the cumulative distribution, the
+    entry a materialized `size`-entry noise table would hold at i."""
+    return cumulative.searchsorted((draws + 0.5) / size)
 
 
 def _encode_documents(documents: Sequence[TokenSeq], vocab: Vocab) -> list[np.ndarray]:
@@ -160,7 +169,7 @@ def train_sgns(
     size = len(vocab)
     syn0 = ((rng.random((size, config.dimension)) - 0.5) / config.dimension).astype(np.float32)
     syn1 = np.zeros((size, config.dimension), dtype=np.float32)
-    noise = _noise_table(vocab.counts, config.noise_table_size)
+    noise = _noise_cumulative(vocab.counts)
 
     total_tokens = sum(len(doc) for doc in encoded)
     if config.subsample_threshold > 0:
@@ -186,7 +195,7 @@ def train_sgns(
 class _TrainState:
     syn0: np.ndarray
     syn1: np.ndarray
-    noise: np.ndarray
+    noise: np.ndarray  # cumulative noise distribution
     keep_prob: np.ndarray | None
     config: SgnsConfig
     total_tokens: int
@@ -244,7 +253,8 @@ def _train_document(
         if len(contexts) == 0:
             continue
         center = kept[pos]
-        negatives = noise[rng.integers(0, len(noise), size=(len(contexts), config.negatives))]
+        draws = rng.integers(0, config.noise_table_size, size=(len(contexts), config.negatives))
+        negatives = _noise_lookup(noise, draws, config.noise_table_size)
 
         targets = np.concatenate([contexts, negatives.ravel()])
         labels = np.zeros(len(targets), dtype=np.float32)

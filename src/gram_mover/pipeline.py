@@ -267,26 +267,32 @@ def _measure_retriever(
     return retrieve
 
 
+def ingredient_sgns_config(seed: int = 2) -> SgnsConfig:
+    """The fixed SGNS settings of the ingredient table; only the seed varies."""
+    return SgnsConfig(
+        dimension=50,
+        window=15,
+        epochs=10,
+        subsample_threshold=0.0,
+        min_count=1,
+        seed=seed,
+    )
+
+
 def train_ingredient_table(
     recipes: Iterable[Recipe], config: SgnsConfig | None = None, seed: int = 2
 ) -> EmbeddingTable | None:
     """Word-granularity embedding over ingredient lists, one document per
-    recipe with each canonical ingredient name as a single token. Returns
-    None when the lists are too degenerate to train on."""
+    recipe with each canonical ingredient name as a single token, trained
+    with `config` or else `ingredient_sgns_config(seed)`. Returns None when
+    the lists are too degenerate to train on."""
     documents = []
     for recipe in recipes:
         names = canonicalize_list(recipe.ingredients)
         if names:
             documents.append(pretokenized(names))
     if config is None:
-        config = SgnsConfig(
-            dimension=50,
-            window=15,
-            epochs=10,
-            subsample_threshold=0.0,
-            min_count=1,
-            seed=seed,
-        )
+        config = ingredient_sgns_config(seed)
     try:
         return train_sgns(documents, config)
     except ValueError as error:

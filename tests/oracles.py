@@ -3,12 +3,15 @@
 Everything here trades speed for obviousness: the transport oracle
 enumerates basic feasible solutions outright, the optimality certificate
 checks a plan against its dual potentials, the stump oracle scans every
-candidate threshold, and the gradient check uses central differences.
+candidate threshold, the gradient and Hessian checks use central
+differences, the logistic stationarity certificate sums the gradient one
+example at a time, and the noise table is built in full.
 None of it shares code with the package under test.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -169,3 +172,49 @@ def central_difference_gradient(fn, params, step=1e-6):
         low = fn(bumped)
         grad[k] = (high - low) / (2.0 * step)
     return grad
+
+
+def central_difference_jacobian(fn, params, step=1e-5):
+    """Central finite-difference Jacobian of a vector function; row k is
+    the derivative of fn's output with respect to params[k]."""
+    params = np.asarray(params, dtype=float)
+    rows = []
+    for k in range(len(params)):
+        bumped = params.copy()
+        bumped[k] += step
+        high = np.asarray(fn(bumped), dtype=float)
+        bumped[k] -= 2.0 * step
+        low = np.asarray(fn(bumped), dtype=float)
+        rows.append((high - low) / (2.0 * step))
+    return np.array(rows)
+
+
+def logistic_gradient_norm(weights, bias, features, labels, regularization):
+    """Gradient norm of the mean logistic loss plus (regularization / 2) *
+    |weights|^2, summed one example at a time in plain floats.
+
+    A fitted model is stationary, hence optimal (the loss is convex), when
+    this is zero; `features` are the standardized features it was fit on.
+    """
+    n = len(labels)
+    grad = [regularization * float(w) for w in weights] + [0.0]
+    for row, label in zip(features, labels):
+        z = sum(float(w) * float(x) for w, x in zip(weights, row)) + float(bias)
+        # derivative of log(1 + e^-z) (label 1) or log(1 + e^z) (label 0)
+        p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+        residual = (p - (1.0 if label else 0.0)) / n
+        for k, x in enumerate(row):
+            grad[k] += residual * float(x)
+        grad[-1] += residual
+    return math.sqrt(sum(g * g for g in grad))
+
+
+def materialized_noise_table(counts, size):
+    """The `size`-entry negative-sampling table: entry i holds the vocab
+    id whose cumulative unigram^(3/4) mass first reaches (i + 0.5) / size
+    (the last id when rounding leaves every cumulative value below it)."""
+    weights = np.asarray(counts, dtype=np.float64) ** 0.75
+    cumulative = np.cumsum(weights / weights.sum())
+    positions = (np.arange(size) + 0.5) / size
+    table = np.searchsorted(cumulative, positions)
+    return np.minimum(table, len(weights) - 1)

@@ -1,5 +1,6 @@
-"""Classifier stack: gradient oracle, stump oracle, undersampling,
-leave-one-out isolation, and the metric conventions."""
+"""Classifier stack: gradient and Hessian oracles, the stationarity
+certificate, stump oracle, depth-cut forests, undersampling, leave-one-out
+isolation, and the metric conventions."""
 from __future__ import annotations
 
 import numpy as np
@@ -18,6 +19,7 @@ from gram_mover.classify import (
     default_grid,
     examples_from_pairs,
     f1_score,
+    logistic_hessian,
     logistic_loss_and_grad,
     loocv_grid_search,
     metrics,
@@ -27,7 +29,13 @@ from gram_mover.classify import (
 )
 from gram_mover.corpus import PairLabel
 from gram_mover.pipeline import CandidatePair
-from oracles import central_difference_gradient, oracle_stump, weighted_gini
+from oracles import (
+    central_difference_gradient,
+    central_difference_jacobian,
+    logistic_gradient_norm,
+    oracle_stump,
+    weighted_gini,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -137,7 +145,76 @@ class TestLogisticGradient:
         assert grad[-1] == pytest.approx(0.0)
 
 
+class TestLogisticHessian:
+    def test_fifty_random_points(self):
+        rng = np.random.default_rng(19)
+        worst = 0.0
+        for trial in range(50):
+            n = int(rng.integers(5, 30))
+            features = rng.normal(size=(n, 2))
+            labels = rng.random(n) < 0.5
+            reg = 0.0 if trial % 3 == 0 else float(rng.choice([0.01, 0.1, 1.0]))
+            params = rng.normal(size=3)
+            hessian = logistic_hessian(params, features, labels, reg)
+            numeric = central_difference_jacobian(
+                lambda p: logistic_loss_and_grad(p, features, labels, reg)[1], params
+            )
+            rel = np.linalg.norm(hessian - numeric) / max(np.linalg.norm(numeric), 1e-12)
+            worst = max(worst, rel)
+        assert worst < 1e-6
+
+    def test_bias_is_not_penalized(self):
+        features = np.array([[1.0, -1.0], [0.5, 2.0], [-1.0, 0.0]])
+        labels = np.array([True, False, True])
+        params = np.array([0.3, -0.2, 0.1])
+        plain = logistic_hessian(params, features, labels, 0.0)
+        penalized = logistic_hessian(params, features, labels, 2.5)
+        np.testing.assert_allclose(penalized - plain, np.diag([2.5, 2.5, 0.0]), atol=1e-15)
+
+    def test_finite_far_from_the_origin(self):
+        features = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        hessian = logistic_hessian(
+            np.array([1e3, 1e3, 0.0]), features, np.array([True, False]), 0.0
+        )
+        assert np.all(np.isfinite(hessian))
+
+
 class TestTrainLogreg:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=seeds,
+        n=st.integers(3, 40),
+        regularization=st.sampled_from([0.001, 0.01, 0.1, 1.0, 10.0, 100.0]),
+    )
+    def test_stationarity_certificate(self, seed, n, regularization):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, 2)) * rng.uniform(0.01, 10.0, size=2)
+        labels = rng.random(n) < rng.uniform(0.1, 0.9)
+        examples = [
+            _example(features[i, 0], features[i, 1], bool(labels[i])) for i in range(n)
+        ]
+        model = train_logreg(examples, regularization=regularization)
+        scale = features.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        standardized = (features - features.mean(axis=0)) / scale
+        assert model.converged
+        assert logistic_gradient_norm(
+            model.weights, model.bias, standardized, labels, regularization
+        ) < 1e-8
+
+    def test_separable_without_regularization_stays_finite(self, caplog):
+        # identical points per class: the features are collinear, so the
+        # Hessian is singular and the loss has no minimizer
+        examples = _cluster((0, 0), 20, True) + _cluster((10, 10), 20, False)
+        with caplog.at_level("INFO"):
+            model = train_logreg(examples, regularization=0.0)
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert not model.converged
+        assert any("stopped short" in r.getMessage() for r in caplog.records)
+        features = np.array([e.features for e in examples])
+        labels = np.array([e.label for e in examples])
+        assert np.array_equal(model.predict(features), labels)
+
     def test_separable_toy_set(self):
         examples = _cluster((0, 0), 20, True) + _cluster((10, 10), 20, False)
         model = train_logreg(examples, regularization=0.01)
@@ -223,6 +300,23 @@ class TestRandomForest:
         wide = train_random_forest(examples, trees=30, max_depth=4, seed=5)
         narrow = train_random_forest(examples, trees=10, max_depth=4, seed=5)
         assert np.array_equal(wide.tree_votes(grid)[:10], narrow.tree_votes(grid))
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=seeds, depth=st.integers(1, 4), extra=st.integers(0, 3))
+    def test_depth_cut_equals_forest_trained_at_that_depth(self, seed, depth, extra):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        features = np.round(rng.normal(size=(n, 2)), 1)
+        labels = rng.random(n) < 0.5
+        examples = [
+            _example(features[i, 0], features[i, 1], bool(labels[i])) for i in range(n)
+        ]
+        probes = np.round(rng.normal(size=(25, 2)), 1)
+        deep = train_random_forest(examples, trees=7, max_depth=depth + extra, seed=seed)
+        shallow = train_random_forest(examples, trees=7, max_depth=depth, seed=seed)
+        assert np.array_equal(
+            deep.tree_votes(probes, depth=depth), shallow.tree_votes(probes)
+        )
 
     def test_vote_tie_predicts_negative(self):
         model = ForestModel(
@@ -353,6 +447,23 @@ class TestLoocvGridSearch:
         ]
         for got, expected in zip(shared.results, alone):
             assert got.metrics == expected.results[0].metrics
+
+    def test_one_forest_per_fold_matches_each_grid_point_alone(self):
+        # the whole grid reads one deepest, widest forest per fold
+        rng = np.random.default_rng(37)
+        examples = _cluster((0, 0), 9, True, rng, 1.5) + _cluster(
+            (2, 2), 9, False, rng, 1.5
+        )
+        shared = loocv_grid_search(examples, FOREST, seed=13)
+        for got, point in zip(shared.results, DEFAULT_FOREST_GRID):
+            alone = loocv_grid_search(examples, FOREST, grid=[point], seed=13)
+            assert got.metrics == alone.results[0].metrics
+
+    def test_forest_grid_points_must_be_positive(self):
+        with pytest.raises(ValueError, match="depth >= 1"):
+            loocv_grid_search(
+                self._separable(), FOREST, grid=[{"trees": 3, "depth": 2}, {"trees": 3, "depth": 0}]
+            )
 
 
 class TestDefaultGrids:

@@ -296,6 +296,24 @@ class TestSynthCommand:
         assert not list(out.glob("*.tmp"))
 
 
+class TestTrainEmbeddingsCommand:
+    def test_logs_the_fixed_ingredient_settings(self, tmp_path, caplog):
+        corpus = _tiny_corpus(tmp_path / "corpus.jsonl")
+        with caplog.at_level("INFO"):
+            assert run(
+                "train-embeddings", "--corpus", corpus, "--out", tmp_path, *SMALL_SGNS
+            ) == 0
+        logged = [
+            r.getMessage() for r in caplog.records
+            if r.levelname == "INFO" and "ingredient embeddings use fixed settings" in r.getMessage()
+        ]
+        # --dimension 16 reaches the instruction table only
+        assert len(logged) == 1
+        assert "dimension=50" in logged[0] and "seed=12" in logged[0]
+        assert load_vectors(tmp_path / "embeddings-ingredients.vec").dimension == 50
+        assert load_vectors(tmp_path / "embeddings-gram3.vec").dimension == 16
+
+
 class TestClassifyCommand:
     def _labeled_pool(self, path):
         pairs = []
@@ -347,6 +365,31 @@ class TestClassifyCommand:
         )
         assert run("classify", "--out", out) == 1
         assert "no labeled pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
+    def test_ignored_threads_setting_warns(self, source, tmp_path, caplog, monkeypatch):
+        pairs_path = tmp_path / "pool.jsonl"
+        self._labeled_pool(pairs_path)
+        argv = ["classify", "--out", tmp_path / "out", "--pairs", pairs_path]
+        if source == "flag":
+            argv += ["--threads", 2]
+        elif source == "config file":
+            (tmp_path / "settings.cfg").write_text("threads = 2\n")
+            argv += ["--config", tmp_path / "settings.cfg"]
+        else:
+            monkeypatch.setenv("GRAM_MOVER_THREADS", "2")
+        with caplog.at_level("WARNING"):
+            assert run(*argv) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert any("threads=2" in m and "classify" in m for m in warnings)
+
+    def test_single_thread_does_not_warn(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.delenv("GRAM_MOVER_THREADS", raising=False)
+        pairs_path = tmp_path / "pool.jsonl"
+        self._labeled_pool(pairs_path)
+        with caplog.at_level("WARNING"):
+            assert run("classify", "--out", tmp_path / "out", "--pairs", pairs_path) == 0
+        assert not any("threads" in r.getMessage() for r in caplog.records)
 
     def test_single_class_cannot_train(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -10,6 +10,8 @@ from gram_mover.embed import (
     EmbeddingTable,
     SgnsConfig,
     Vocab,
+    _noise_cumulative,
+    _noise_lookup,
     build_vocab,
     cosine_distance,
     load_vectors,
@@ -18,6 +20,7 @@ from gram_mover.embed import (
     train_sgns,
 )
 from gram_mover.tokenize import pretokenized
+from oracles import materialized_noise_table
 
 
 class TestBuildVocab:
@@ -173,6 +176,30 @@ def _template_corpus():
         docs.append(pretokenized([f"l{i % 7}", shared, f"r{i % 5}"]))
         docs.append(pretokenized([f"p{i % 7}", "z", f"q{i % 5}"]))
     return docs
+
+
+class TestNoiseLookup:
+    @pytest.mark.parametrize("size", [1, 7, 1_000, 1_000_000])
+    def test_equals_the_materialized_table(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(5):
+            counts = rng.integers(1, 1_000, size=int(rng.integers(1, 300)))
+            table = materialized_noise_table(counts, size)
+            draws = rng.integers(0, size, size=(40, 5))
+            got = _noise_lookup(_noise_cumulative(counts), draws, size)
+            assert np.array_equal(got, table[draws])
+            if size <= 1_000:
+                every = _noise_lookup(_noise_cumulative(counts), np.arange(size), size)
+                assert np.array_equal(every, table)
+
+    def test_positions_past_a_rounded_down_total_take_the_last_id(self):
+        counts = np.arange(1, 11)
+        weights = counts ** 0.75
+        assert np.cumsum(weights / weights.sum())[-1] < 1.0  # rounds down
+        size = 2**60  # the top draw's position rounds up to 1.0
+        draws = np.array([0, size // 2, size - 1])
+        got = _noise_lookup(_noise_cumulative(counts), draws, size)
+        assert got[-1] == len(counts) - 1
 
 
 class TestTrainSgns:
