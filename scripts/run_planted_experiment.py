@@ -48,7 +48,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--epochs", type=int, default=5)
     parser.add_argument("--k", type=int, default=10, help="retrieval depth per query")
     parser.add_argument("--threshold", type=int, default=2, help="ingredients-distance filter")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--json", help="also write the result table to this path")
     return parser.parse_args(argv)
 
@@ -85,7 +84,6 @@ def run_method(method, test, train, table, ingredient_table, args):
         k=args.k,
         threshold=args.threshold,
         stats=stats,
-        threads=args.threads,
     )
     elapsed = time.perf_counter() - started
     found = {(pair.query_id, pair.candidate_id) for pair in pairs}

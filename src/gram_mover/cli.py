@@ -74,7 +74,6 @@ _INT_FIELDS = {
     "epochs",
     "min_count",
     "noise_table_size",
-    "threads",
     "train_size",
     "planted",
     "fresh",
@@ -115,7 +114,6 @@ class CliConfig:
     threshold: int = 2
     seed: int = 1
     out: str = "out"
-    threads: int = 1
     baseline_words: bool = False
     dimension: int = 100
     window: int = 15
@@ -205,13 +203,6 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
             setattr(config, name, cli_value)
         elif name in file_values:
             setattr(config, name, _coerce(name, file_values[name]))
-    if getattr(args, "threads", None) is None and "threads" not in file_values:
-        env = os.environ.get("GRAM_MOVER_THREADS")
-        if env is not None:
-            try:
-                config.threads = int(env)
-            except ValueError as error:
-                raise ConfigError("threads", f"GRAM_MOVER_THREADS={env!r}: {error}") from error
 
     if isinstance(config.cutoff, str):
         try:
@@ -228,7 +219,7 @@ def _validate(config: CliConfig) -> None:
         raise ConfigError("granularity", f"must be {GRAM3_NAME} or {WORD_NAME}")
     if config.metric not in (COSINE, EUCLIDEAN):
         raise ConfigError("metric", f"must be {COSINE} or {EUCLIDEAN}")
-    for name in ("k", "dimension", "window", "negatives", "epochs", "threads"):
+    for name in ("k", "dimension", "window", "negatives", "epochs"):
         if getattr(config, name) < 1:
             raise ConfigError(name, "must be >= 1")
     for name in ("threshold", "min_count", "seed"):
@@ -337,6 +328,27 @@ def save_index(path: Path, index: MoverIndex, granularity: str, method: str) -> 
     _atomic_write(path, writer)
 
 
+def _check_index_arrays(path: Path, vocab_size: int, doc_ids, offsets, supports, weights) -> None:
+    """Reject CSR arrays that do not describe one histogram per doc id over
+    the stored vocabulary; the error names the file and the array."""
+    if len(doc_ids) != len(offsets) - 1:
+        raise ValueError(
+            f"{path}: doc_ids has {len(doc_ids)} entries, "
+            f"but offsets delimits {len(offsets) - 1} documents"
+        )
+    if offsets[0] != 0 or offsets[-1] != len(supports) or np.any(np.diff(offsets) < 0):
+        raise ValueError(
+            f"{path}: offsets must start at 0, never decrease "
+            f"and end at {len(supports)}, the length of supports"
+        )
+    if len(weights) != len(supports):
+        raise ValueError(
+            f"{path}: weights has {len(weights)} entries, supports has {len(supports)}"
+        )
+    if len(supports) and (supports.min() < 0 or supports.max() >= vocab_size):
+        raise ValueError(f"{path}: supports holds ids outside [0, {vocab_size})")
+
+
 def load_index(path: Path) -> tuple[MoverIndex, str, str]:
     with np.load(path, allow_pickle=False) as data:
         tokens = [str(token) for token in data["tokens"]]
@@ -345,11 +357,13 @@ def load_index(path: Path) -> tuple[MoverIndex, str, str]:
         metric = str(data["metric"])
         granularity = str(data["granularity"])
         method = str(data["method"])
+        doc_ids = data["doc_ids"]
         offsets = data["offsets"]
         supports = data["supports"]
         weights = data["weights"]
+        _check_index_arrays(path, len(tokens), doc_ids, offsets, supports, weights)
         entries = []
-        for i, doc_id in enumerate(data["doc_ids"]):
+        for i, doc_id in enumerate(doc_ids):
             lo, hi = int(offsets[i]), int(offsets[i + 1])
             hist = GramHistogram(
                 support=supports[lo:hi], weights=weights[lo:hi], granularity=granularity
@@ -465,9 +479,7 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     stats = ExtractionStats()
 
     def retrieve(query):
-        return topk_query(
-            query, index, config.k, pruning=True, stats=stats.search, threads=config.threads
-        )
+        return topk_query(query, index, config.k, pruning=True, stats=stats.search)
 
     pairs = extract_with_retriever(
         test,
@@ -621,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        help="search worker threads for extract-candidates (1 = reproducible); "
-        "other subcommands run on one thread and warn when this is not 1",
+        choices=(1,),
+        help="accepted for compatibility and must be 1: every subcommand runs on one thread",
     )
     common.add_argument("--verbose", action="store_true")
     sgns_help = "SGNS setting for the instruction embeddings only; the ingredient table's are fixed"
@@ -672,13 +684,6 @@ def main(argv=None) -> int:
     except ConfigError as error:
         print(f"config error: {error}", file=sys.stderr)
         return 2
-    if config.threads != 1 and args.command != "extract-candidates":
-        logger.warning(
-            "threads=%d (from --threads, the config file or GRAM_MOVER_THREADS) "
-            "is ignored: %s runs on one thread",
-            config.threads,
-            args.command,
-        )
     try:
         return _COMMANDS[args.command](config, args)
     except ConfigError as error:

@@ -3,14 +3,14 @@
 The trainer is a plain numpy implementation: input and output vector tables,
 logistic loss against noise samples drawn from the unigram distribution raised
 to 3/4, dynamic window, frequency subsampling, and a linearly decayed step
-size. Single-threaded runs are bitwise reproducible for a fixed seed.
+size. Training runs on one thread, and a fixed seed makes it bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,14 +144,11 @@ def train_sgns(
     documents: Sequence[TokenSeq],
     config: SgnsConfig,
     epoch_losses: list[float] | None = None,
-    threads: int = 1,
 ) -> EmbeddingTable:
     """Train input vectors with SGNS over the documents' token streams.
 
-    With threads=1 the update order is fixed by the seed and results are
-    bitwise reproducible. threads>1 shares the parameter arrays across workers
-    without locks (relaxed consistency, not reproducible); epoch_losses is
-    only tracked single-threaded.
+    The update order is fixed by the seed, so results are bitwise
+    reproducible. `epoch_losses`, when given, receives each epoch's mean loss.
     """
     config = config.validated()
     granularities = {doc.granularity for doc in documents if len(doc)}
@@ -180,13 +177,10 @@ def train_sgns(
         keep_prob = None
 
     state = _TrainState(syn0, syn1, noise, keep_prob, config, total_tokens)
-    if threads <= 1:
-        for epoch in range(config.epochs):
-            loss = _train_epoch(encoded, state, rng, epoch, track_loss=epoch_losses is not None)
-            if epoch_losses is not None:
-                epoch_losses.append(loss)
-    else:
-        _train_parallel(encoded, state, config, threads)
+    for epoch in range(config.epochs):
+        loss = _train_epoch(encoded, state, rng, epoch, track_loss=epoch_losses is not None)
+        if epoch_losses is not None:
+            epoch_losses.append(loss)
 
     return EmbeddingTable(vocab=vocab, vectors=syn0)
 
@@ -280,37 +274,6 @@ def _train_document(
         np.add.at(syn1, targets, gradient[:, None] * v[None, :])
         syn0[center] = v + gradient.dot(rows)
     return loss
-
-
-def _train_parallel(encoded, state, config, threads):
-    # Lock-free shared updates: workers stride over documents with private
-    # generators. Throughput mode only; results are not reproducible.
-    def worker(worker_id: int):
-        rng = np.random.default_rng(config.seed + 1000 + worker_id)
-        for epoch in range(config.epochs):
-            for doc in encoded[worker_id::threads]:
-                if len(doc) < 2:
-                    continue
-                if state.keep_prob is not None:
-                    kept = doc[rng.random(len(doc)) < state.keep_prob[doc]]
-                else:
-                    kept = doc
-                if len(kept) < 2:
-                    continue
-                done = state.processed + epoch * state.total_tokens
-                step = max(
-                    config.final_step_size,
-                    config.initial_step_size
-                    * (1.0 - done / max(1, config.epochs * state.total_tokens)),
-                )
-                _train_document(kept, state, rng, np.float32(step), False)
-                state.processed += len(doc)
-
-    pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:

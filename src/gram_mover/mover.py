@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -104,35 +103,42 @@ def nbow(tokens: TokenSeq, table: EmbeddingTable) -> GramHistogram:
     return GramHistogram(support=support, weights=weights, granularity=tokens.granularity)
 
 
-def _pairwise_cost(va: np.ndarray, vb: np.ndarray, metric: str) -> np.ndarray:
-    va = va.astype(np.float64)
-    vb = vb.astype(np.float64)
+def _ground_rows(vectors: np.ndarray, metric: str) -> np.ndarray:
+    """The float64 rows every ground cost is built from: unit rows under
+    cosine (zero rows stay zero), raw rows under Euclidean."""
+    rows = vectors.astype(np.float64)
     if metric == COSINE:
-        norms_a = np.linalg.norm(va, axis=1, keepdims=True)
-        norms_b = np.linalg.norm(vb, axis=1, keepdims=True)
-        ua = np.divide(va, norms_a, out=np.zeros_like(va), where=norms_a > 0)
-        ub = np.divide(vb, norms_b, out=np.zeros_like(vb), where=norms_b > 0)
-        cost = 1.0 - ua @ ub.T
-    elif metric == EUCLIDEAN:
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+    if metric == EUCLIDEAN:
+        return rows
+    raise ValueError(f"unknown ground metric {metric!r}")
+
+
+def _ground_cost(rows_a: np.ndarray, rows_b: np.ndarray, metric: str) -> CostMatrix:
+    """Ground distances between two sets of `_ground_rows`."""
+    if metric == COSINE:
+        cost = 1.0 - rows_a @ rows_b.T
+    else:
         sq = (
-            np.sum(va ** 2, axis=1)[:, None]
-            + np.sum(vb ** 2, axis=1)[None, :]
-            - 2.0 * va @ vb.T
+            np.sum(rows_a ** 2, axis=1)[:, None]
+            + np.sum(rows_b ** 2, axis=1)[None, :]
+            - 2.0 * rows_a @ rows_b.T
         )
         cost = np.sqrt(np.maximum(sq, 0.0))
-    else:
-        raise ValueError(f"unknown ground metric {metric!r}")
     cost[cost < COST_CLAMP] = 0.0
-    return cost
+    return CostMatrix(values=cost, metric=metric)
 
 
 def cost_matrix(
     a: GramHistogram, b: GramHistogram, table: EmbeddingTable, metric: str = COSINE
 ) -> CostMatrix:
     """Ground distances between all support pairs of the two histograms."""
-    va = table.vectors[a.support]
-    vb = table.vectors[b.support]
-    return CostMatrix(values=_pairwise_cost(va, vb, metric), metric=metric)
+    return _ground_cost(
+        _ground_rows(table.vectors[a.support], metric),
+        _ground_rows(table.vectors[b.support], metric),
+        metric,
+    )
 
 
 def emd_exact(
@@ -434,9 +440,8 @@ def mover_distance(
 class PreparedDoc:
     doc_id: str
     hist: GramHistogram
-    vectors: np.ndarray
-    units: np.ndarray | None
-    centroid: np.ndarray
+    rows: np.ndarray  # `_ground_rows` of the support
+    centroid: np.ndarray | None  # weighted mean row, under Euclidean only
 
 
 @dataclass
@@ -451,6 +456,8 @@ class MoverIndex:
 
 @dataclass
 class SearchStats:
+    """Work counters of `topk_query`; they repeat exactly for equal inputs."""
+
     exact_evaluations: int = 0
     bound_computations: int = 0
     pruned: int = 0
@@ -460,13 +467,9 @@ class SearchStats:
 def prepare_histogram(
     doc_id: str, hist: GramHistogram, table: EmbeddingTable, metric: str
 ) -> PreparedDoc:
-    vectors = table.vectors[hist.support].astype(np.float64)
-    units = None
-    if metric == COSINE:
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        units = np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
-    centroid = hist.weights @ vectors
-    return PreparedDoc(doc_id=doc_id, hist=hist, vectors=vectors, units=units, centroid=centroid)
+    rows = _ground_rows(table.vectors[hist.support], metric)
+    centroid = hist.weights @ rows if metric == EUCLIDEAN else None
+    return PreparedDoc(doc_id=doc_id, hist=hist, rows=rows, centroid=centroid)
 
 
 def prepare_doc(doc_id: str, tokens: TokenSeq, table: EmbeddingTable, metric: str) -> PreparedDoc:
@@ -482,19 +485,13 @@ def build_index(
     skipped = []
     for doc_id, tokens in docs:
         try:
-            entries.append(prepare_doc(doc_id, tokens, table, metric))
+            hist = nbow(tokens, table)
         except ValueError:
             logger.warning("skipping unembeddable document %s", doc_id)
             skipped.append(doc_id)
+            continue
+        entries.append(prepare_histogram(doc_id, hist, table, metric))
     return MoverIndex(table=table, metric=metric, entries=entries, skipped=skipped)
-
-
-def _pair_cost(query: PreparedDoc, entry: PreparedDoc, metric: str) -> CostMatrix:
-    if metric == COSINE:
-        cost = 1.0 - query.units @ entry.units.T
-        cost[cost < COST_CLAMP] = 0.0
-        return CostMatrix(values=cost, metric=metric)
-    return CostMatrix(values=_pairwise_cost(query.vectors, entry.vectors, metric), metric=metric)
 
 
 def topk_query(
@@ -503,7 +500,6 @@ def topk_query(
     k: int,
     pruning: bool = True,
     stats: SearchStats | None = None,
-    threads: int = 1,
 ) -> list[tuple[str, float]]:
     """The k nearest indexed documents by exact mover distance, ascending,
     ties broken by doc id. Pruning skips the exact solve whenever a lower
@@ -525,7 +521,7 @@ def topk_query(
 
     bounds = []
     for entry in index.entries:
-        cost = _pair_cost(prepared_query, entry, index.metric)
+        cost = _ground_cost(prepared_query.rows, entry.rows, index.metric)
         bound = rwmd(prepared_query.hist, entry.hist, cost)
         if index.metric == EUCLIDEAN:
             bound = max(
@@ -537,32 +533,29 @@ def topk_query(
     bounds.sort(key=lambda item: (item[0], item[1]))
 
     evaluated: list[tuple[float, str]] = []
-    if threads > 1:
-        _topk_parallel(prepared_query, bounds, k, index.metric, evaluated, stats, threads)
-    else:
-        worst_kth = np.inf
-        best_heap: list[float] = []  # max-heap (negated) of the k best distances
-        for bound, doc_id, entry, cost in bounds:
-            if len(best_heap) == k and bound > worst_kth + _PRUNE_SLACK:
-                if stats is not None:
-                    stats.pruned += len(bounds) - len(evaluated)
-                break
-            distance, plan = emd_exact(prepared_query.hist, entry.hist, cost)
+    worst_kth = np.inf
+    best_heap: list[float] = []  # max-heap (negated) of the k best distances
+    for bound, doc_id, entry, cost in bounds:
+        if len(best_heap) == k and bound > worst_kth + _PRUNE_SLACK:
             if stats is not None:
-                stats.exact_evaluations += 1
-                stats.pivots += plan.pivots
-            evaluated.append((distance, doc_id))
-            if len(best_heap) < k:
-                heapq.heappush(best_heap, -distance)
-            elif distance < -best_heap[0]:
-                heapq.heapreplace(best_heap, -distance)
-            if len(best_heap) == k:
-                worst_kth = -best_heap[0]
+                stats.pruned += len(bounds) - len(evaluated)
+            break
+        distance, plan = emd_exact(prepared_query.hist, entry.hist, cost)
+        if stats is not None:
+            stats.exact_evaluations += 1
+            stats.pivots += plan.pivots
+        evaluated.append((distance, doc_id))
+        if len(best_heap) < k:
+            heapq.heappush(best_heap, -distance)
+        elif distance < -best_heap[0]:
+            heapq.heapreplace(best_heap, -distance)
+        if len(best_heap) == k:
+            worst_kth = -best_heap[0]
     return _ranked(evaluated, k)
 
 
 def _exact_distance(query: PreparedDoc, entry: PreparedDoc, metric, stats) -> float:
-    cost = _pair_cost(query, entry, metric)
+    cost = _ground_cost(query.rows, entry.rows, metric)
     distance, plan = emd_exact(query.hist, entry.hist, cost)
     if stats is not None:
         stats.exact_evaluations += 1
@@ -573,49 +566,6 @@ def _exact_distance(query: PreparedDoc, entry: PreparedDoc, metric, stats) -> fl
 def _ranked(evaluated: list[tuple[float, str]], k: int) -> list[tuple[str, float]]:
     evaluated.sort(key=lambda item: (item[0], item[1]))
     return [(doc_id, distance) for distance, doc_id in evaluated[:k]]
-
-
-def _topk_parallel(prepared_query, bounds, k, metric, evaluated, stats, threads):
-    # shared monotonically tightening threshold; workers claim candidates in
-    # bound order off a shared cursor
-    lock = threading.Lock()
-    state = {
-        "cursor": 0, "heap": [], "worst": np.inf, "stats_exact": 0, "stats_pruned": 0, "pivots": 0
-    }
-
-    def worker():
-        while True:
-            with lock:
-                position = state["cursor"]
-                if position >= len(bounds):
-                    return
-                bound, doc_id, entry, cost = bounds[position]
-                if len(state["heap"]) == k and bound > state["worst"] + _PRUNE_SLACK:
-                    state["stats_pruned"] += len(bounds) - position
-                    state["cursor"] = len(bounds)
-                    return
-                state["cursor"] = position + 1
-            distance, plan = emd_exact(prepared_query.hist, entry.hist, cost)
-            with lock:
-                state["stats_exact"] += 1
-                state["pivots"] += plan.pivots
-                evaluated.append((distance, doc_id))
-                if len(state["heap"]) < k:
-                    heapq.heappush(state["heap"], -distance)
-                elif distance < -state["heap"][0]:
-                    heapq.heapreplace(state["heap"], -distance)
-                if len(state["heap"]) == k:
-                    state["worst"] = -state["heap"][0]
-
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-    if stats is not None:
-        stats.exact_evaluations += state["stats_exact"]
-        stats.pruned += state["stats_pruned"]
-        stats.pivots += state["pivots"]
 
 
 def plan_to_tsv(plan: TransportPlan, cost: CostMatrix) -> str:

@@ -227,7 +227,6 @@ def _mover_retriever(
     table: EmbeddingTable,
     metric: str,
     k: int,
-    threads: int,
     stats: ExtractionStats | None,
 ) -> Retriever:
     index = build_index(train_docs, table, metric)
@@ -236,7 +235,7 @@ def _mover_retriever(
 
     def retrieve(query: TokenSeq) -> list[tuple[str, float]]:
         search_stats = stats.search if stats is not None else None
-        return topk_query(query, index, k, pruning=True, stats=search_stats, threads=threads)
+        return topk_query(query, index, k, pruning=True, stats=search_stats)
 
     return retrieve
 
@@ -312,7 +311,6 @@ def extract_candidates(
     baseline_words: bool = False,
     measure: Callable[[TokenSeq, TokenSeq], float] | None = None,
     stats: ExtractionStats | None = None,
-    threads: int = 1,
 ) -> list[CandidatePair]:
     """Top-k instruction-text retrieval per test recipe, ingredients filter,
     and dedup by unordered id pair keeping the smallest distance.
@@ -334,7 +332,7 @@ def extract_candidates(
     else:
         if table is None:
             raise ValueError(f"method {method!r} requires an embedding table")
-        retrieve = _mover_retriever(train_docs, table, metric, k, threads, stats)
+        retrieve = _mover_retriever(train_docs, table, metric, k, stats)
     return extract_with_retriever(
         test,
         train,

@@ -108,7 +108,6 @@ class TestConfigResolution:
         assert config.granularity == "gram3"
         assert config.metric == "cosine"
         assert config.out == "out"
-        assert config.threads == 1
         assert config.cutoff == date(2016, 10, 31)
 
     def test_config_file_values_apply(self, tmp_path):
@@ -171,26 +170,6 @@ class TestConfigResolution:
             resolve_config(parse("report", "--cutoff", "2016-13-01"))
         assert err.value.field == "cutoff"
 
-    def test_env_threads_fallback(self, monkeypatch):
-        monkeypatch.setenv("GRAM_MOVER_THREADS", "4")
-        assert resolve_config(parse("report")).threads == 4
-
-    def test_flag_beats_env_threads(self, monkeypatch):
-        monkeypatch.setenv("GRAM_MOVER_THREADS", "4")
-        assert resolve_config(parse("report", "--threads", 2)).threads == 2
-
-    def test_file_beats_env_threads(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("GRAM_MOVER_THREADS", "4")
-        path = tmp_path / "settings.cfg"
-        path.write_text("threads=3\n", encoding="utf-8")
-        assert resolve_config(parse("report", "--config", path)).threads == 3
-
-    def test_bad_env_threads(self, monkeypatch):
-        monkeypatch.setenv("GRAM_MOVER_THREADS", "four")
-        with pytest.raises(ConfigError) as err:
-            resolve_config(parse("report"))
-        assert err.value.field == "threads"
-
     def test_range_validation_names_the_field(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             resolve_config(parse("report", "--k", 0))
@@ -211,6 +190,36 @@ class TestConfigResolution:
         assert err.value.field == "embedding_source"
 
 
+class TestThreadsFlag:
+    """`--threads` survives only as the value 1, which the benchmark passes to
+    every stage; search and training always run on one thread."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "synth-corpus", "train-embeddings", "build-index", "extract-candidates",
+            "baseline", "classify", "report",
+        ],
+    )
+    def test_every_subcommand_parses_threads_1(self, command):
+        args = parse(command, "--threads", 1)
+        assert args.threads == 1
+        resolve_config(args)
+
+    def test_threads_above_one_exits_2_naming_the_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("report", "--out", tmp_path, "--threads", 2)
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_in_a_config_file_is_an_unknown_setting(self, tmp_path, capsys):
+        path = tmp_path / "settings.cfg"
+        path.write_text("threads = 2\n", encoding="utf-8")
+        assert run("report", "--out", tmp_path, "--config", path) == 2
+        err = capsys.readouterr().err
+        assert "threads" in err and "unknown setting" in err
+
+
 class TestExitCodes:
     def test_missing_corpus_setting_is_a_config_error(self, tmp_path, capsys):
         assert run("train-embeddings", "--out", tmp_path) == 2
@@ -221,11 +230,6 @@ class TestExitCodes:
     def test_invalid_flag_value(self, tmp_path, capsys):
         assert run("synth-corpus", "--out", tmp_path, "--k", 0) == 2
         assert "k: must be >= 1" in capsys.readouterr().err
-
-    def test_bad_env_threads_via_main(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GRAM_MOVER_THREADS", "many")
-        assert run("synth-corpus", "--out", tmp_path) == 2
-        assert "threads" in capsys.readouterr().err
 
     def test_missing_vectors_names_the_producer(self, tmp_path, capsys):
         corpus = _tiny_corpus(tmp_path / "corpus.jsonl")
@@ -366,29 +370,13 @@ class TestClassifyCommand:
         assert run("classify", "--out", out) == 1
         assert "no labeled pairs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
-    def test_ignored_threads_setting_warns(self, source, tmp_path, caplog, monkeypatch):
-        pairs_path = tmp_path / "pool.jsonl"
-        self._labeled_pool(pairs_path)
-        argv = ["classify", "--out", tmp_path / "out", "--pairs", pairs_path]
-        if source == "flag":
-            argv += ["--threads", 2]
-        elif source == "config file":
-            (tmp_path / "settings.cfg").write_text("threads = 2\n")
-            argv += ["--config", tmp_path / "settings.cfg"]
-        else:
-            monkeypatch.setenv("GRAM_MOVER_THREADS", "2")
-        with caplog.at_level("WARNING"):
-            assert run(*argv) == 0
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert any("threads=2" in m and "classify" in m for m in warnings)
-
-    def test_single_thread_does_not_warn(self, tmp_path, caplog, monkeypatch):
-        monkeypatch.delenv("GRAM_MOVER_THREADS", raising=False)
+    def test_single_thread_does_not_warn(self, tmp_path, caplog):
         pairs_path = tmp_path / "pool.jsonl"
         self._labeled_pool(pairs_path)
         with caplog.at_level("WARNING"):
-            assert run("classify", "--out", tmp_path / "out", "--pairs", pairs_path) == 0
+            assert run(
+                "classify", "--out", tmp_path / "out", "--pairs", pairs_path, "--threads", 1
+            ) == 0
         assert not any("threads" in r.getMessage() for r in caplog.records)
 
     def test_single_class_cannot_train(self, tmp_path, capsys):
@@ -522,7 +510,60 @@ def _copy_chain_inputs(chain, out):
     return out
 
 
+def _rewrite_index(path, change):
+    """Rewrite an index file with `change` applied to its dict of arrays."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    change(arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def _support_past_vocabulary(arrays):
+    arrays["supports"][-1] = len(arrays["tokens"])
+
+
+def _one_doc_id_too_few(arrays):
+    arrays["doc_ids"] = arrays["doc_ids"][:-1]
+
+
+def _offsets_past_supports(arrays):
+    arrays["offsets"][-1] += 3
+
+
+def _one_weight_too_few(arrays):
+    arrays["weights"] = arrays["weights"][:-1]
+
+
 class TestExtractionChecks:
+    @pytest.mark.parametrize(
+        "corrupt, array",
+        [
+            (_support_past_vocabulary, "supports"),
+            (_one_doc_id_too_few, "doc_ids"),
+            (_offsets_past_supports, "offsets"),
+            (_one_weight_too_few, "weights"),
+            (lambda arrays: None, None),
+        ],
+        ids=["supports", "doc_ids", "offsets", "weights", "untouched"],
+    )
+    def test_corrupt_index_arrays_are_rejected(self, chain, tmp_path, capsys, corrupt, array):
+        out = _copy_chain_inputs(chain, tmp_path / "corrupt")
+        path = out / "index-gram3.npz"
+        path.write_bytes((chain / "index-gram3.npz").read_bytes())
+        _rewrite_index(path, corrupt)
+        capsys.readouterr()
+        code = run("extract-candidates", "--corpus", out / "corpus.jsonl", "--out", out, "--k", 5)
+        if array is None:
+            assert code == 0
+            assert len(load_index(path)[0].entries) == 40
+            return
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err and array in err
+        assert not (out / "candidates-gram3-sgns.jsonl").exists()
+
     def test_index_metric_must_match_the_configuration(self, chain, tmp_path, capsys):
         out = _copy_chain_inputs(chain, tmp_path / "metric")
         corpus = out / "corpus.jsonl"

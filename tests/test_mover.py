@@ -363,22 +363,28 @@ class TestTopkQuery:
         table, docs = _random_corpus(rng, 40)
         index = build_index(docs, table, COSINE)
         counts = []
-        for threads in (1, 1, 3):
+        for _ in range(2):
             stats = SearchStats()
             for q in range(4):
-                topk_query(docs[q][1], index, k=5, stats=stats, threads=threads)
+                topk_query(docs[q][1], index, k=5, stats=stats)
             counts.append((stats.exact_evaluations, stats.pivots))
         assert counts[0] == counts[1]
         assert counts[0][1] > 0
-        assert counts[2][1] > 0
 
-    def test_threads_give_identical_results(self):
+    @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN])
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_distances_equal_mover_distance_exactly(self, metric, pruning):
+        # the index, the search and the pair-wise distance build their
+        # ground costs through one code path, so not even rounding differs
         rng = np.random.default_rng(9)
         table, docs = _random_corpus(rng, 50)
-        index = build_index(docs, table, COSINE)
-        single = topk_query(docs[3][1], index, k=5, threads=1)
-        multi = topk_query(docs[3][1], index, k=5, threads=4)
-        assert single == multi
+        tokens = dict(docs)
+        index = build_index(docs, table, metric)
+        for q in range(0, 50, 7):
+            hits = topk_query(docs[q][1], index, k=8, pruning=pruning)
+            assert len(hits) == 8
+            for doc_id, distance in hits:
+                assert distance == mover_distance(docs[q][1], tokens[doc_id], table, metric)
 
     def test_tie_broken_by_doc_id(self):
         table = make_table({"aa": [1, 0], "bb": [0, 1]})
@@ -408,6 +414,11 @@ class TestBuildIndex:
         assert [e.doc_id for e in index.entries] == ["good"]
         assert index.skipped == ["bad"]
         assert any("bad" in r.getMessage() for r in caplog.records)
+
+    def test_unknown_metric_raises_instead_of_skipping(self):
+        table = make_table({"aa": [1, 0]})
+        with pytest.raises(ValueError, match="metric"):
+            build_index([("good", _tokens("aa"))], table, "manhattan")
 
 
 class TestPlanToTsv:
