@@ -37,8 +37,9 @@ from .mover import (
     EUCLIDEAN,
     GramHistogram,
     MoverIndex,
+    PreparedDoc,
     SolverError,
-    prepare_histogram,
+    build_index,
     topk_query,
 )
 from .pipeline import (
@@ -52,7 +53,6 @@ from .pipeline import (
     extract_with_retriever,
     ingredient_sgns_config,
     load_pairs,
-    nbow_histograms,
     save_pairs,
     train_ingredient_table,
 )
@@ -293,19 +293,11 @@ def save_solver_failure(out: Path, error: SolverError) -> Path:
 
 
 def save_index(path: Path, index: MoverIndex, granularity: str, method: str) -> None:
-    supports = (
-        np.concatenate([entry.hist.support for entry in index.entries])
-        if index.entries
-        else np.zeros(0, dtype=np.int64)
-    )
-    weights = (
-        np.concatenate([entry.hist.weights for entry in index.entries])
-        if index.entries
-        else np.zeros(0, dtype=np.float64)
-    )
-    offsets = np.zeros(len(index.entries) + 1, dtype=np.int64)
-    for i, entry in enumerate(index.entries):
-        offsets[i + 1] = offsets[i] + len(entry.hist.support)
+    hists = [entry.hist for entry in index.entries]
+    supports = np.concatenate([np.zeros(0, dtype=np.int64)] + [hist.support for hist in hists])
+    weights = np.concatenate([np.zeros(0, dtype=np.float64)] + [hist.weights for hist in hists])
+    offsets = np.zeros(len(hists) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(hist.support) for hist in hists], dtype=np.int64)
 
     def writer(tmp: Path) -> None:
         # hand savez an open handle: with a bare path it appends ".npz",
@@ -328,53 +320,64 @@ def save_index(path: Path, index: MoverIndex, granularity: str, method: str) -> 
     _atomic_write(path, writer)
 
 
-def _check_index_arrays(path: Path, vocab_size: int, doc_ids, offsets, supports, weights) -> None:
+def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """Reject CSR arrays that do not describe one histogram per doc id over
-    the stored vocabulary; the error names the file and the array."""
+    the stored vocabulary; the error names the file, the array and, where
+    one document is at fault, its doc id."""
+    tokens, doc_ids, offsets, supports, weights = (
+        arrays[name] for name in ("tokens", "doc_ids", "offsets", "supports", "weights")
+    )
+    if len(set(tokens.tolist())) != len(tokens):
+        raise ValueError(f"{path}: tokens holds a token more than once")
     if len(doc_ids) != len(offsets) - 1:
         raise ValueError(
             f"{path}: doc_ids has {len(doc_ids)} entries, "
             f"but offsets delimits {len(offsets) - 1} documents"
         )
-    if offsets[0] != 0 or offsets[-1] != len(supports) or np.any(np.diff(offsets) < 0):
+    if offsets[0] != 0 or offsets[-1] != len(supports) or np.any(np.diff(offsets) <= 0):
         raise ValueError(
-            f"{path}: offsets must start at 0, never decrease "
+            f"{path}: offsets must start at 0, rise at every document "
             f"and end at {len(supports)}, the length of supports"
         )
     if len(weights) != len(supports):
         raise ValueError(
             f"{path}: weights has {len(weights)} entries, supports has {len(supports)}"
         )
-    if len(supports) and (supports.min() < 0 or supports.max() >= vocab_size):
-        raise ValueError(f"{path}: supports holds ids outside [0, {vocab_size})")
+    if len(supports) and (supports.min() < 0 or supports.max() >= len(tokens)):
+        raise ValueError(f"{path}: supports holds ids outside [0, {len(tokens)})")
+    doc = np.repeat(np.arange(len(doc_ids)), np.diff(offsets))  # document of each support entry
+    repeats = (np.diff(supports, prepend=-1) <= 0) & (np.diff(doc, prepend=-1) == 0)
+    for array, faults, rule in (
+        ("weights", ~(weights > 0), "must be positive"),
+        ("supports", repeats, "must be unique and sorted"),
+    ):
+        if np.any(faults):
+            at = str(doc_ids[doc[faults.argmax()]])
+            raise ValueError(f"{path}: {array} of document {at!r} {rule}")
 
 
 def load_index(path: Path) -> tuple[MoverIndex, str, str]:
+    """The index `save_index` wrote: each document's histogram is a view into
+    the stored CSR arrays. Arrays that do not fit together raise ValueError
+    naming the file."""
     with np.load(path, allow_pickle=False) as data:
-        tokens = [str(token) for token in data["tokens"]]
-        vocab = Vocab(tokens=tokens, index={t: i for i, t in enumerate(tokens)}, counts=None)
-        table = EmbeddingTable(vocab=vocab, vectors=data["vectors"])
-        metric = str(data["metric"])
-        granularity = str(data["granularity"])
-        method = str(data["method"])
-        doc_ids = data["doc_ids"]
-        offsets = data["offsets"]
-        supports = data["supports"]
-        weights = data["weights"]
-        _check_index_arrays(path, len(tokens), doc_ids, offsets, supports, weights)
-        entries = []
-        for i, doc_id in enumerate(doc_ids):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            hist = GramHistogram(
-                support=supports[lo:hi], weights=weights[lo:hi], granularity=granularity
-            )
-            entries.append(prepare_histogram(str(doc_id), hist, table, metric))
-        skipped = [str(doc_id) for doc_id in data["skipped"]]
-    return (
-        MoverIndex(table=table, metric=metric, entries=entries, skipped=skipped),
-        granularity,
-        method,
-    )
+        arrays = {name: data[name] for name in data.files}
+    _check_index_arrays(path, arrays)
+    granularity = str(arrays["granularity"])
+    offsets, supports, weights = arrays["offsets"], arrays["supports"], arrays["weights"]
+    bounds = zip(arrays["doc_ids"].tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+    tokens = arrays["tokens"].tolist()
+    vocab = Vocab(tokens=tokens, index={t: i for i, t in enumerate(tokens)}, counts=None)
+    try:
+        table = EmbeddingTable(vocab=vocab, vectors=arrays["vectors"])
+        entries = [
+            PreparedDoc(doc_id, GramHistogram(supports[lo:hi], weights[lo:hi], granularity))
+            for doc_id, lo, hi in bounds
+        ]
+    except ValueError as error:  # a fault the histogram or the table rejects
+        raise ValueError(f"{path}: {error}") from None
+    index = MoverIndex(table, str(arrays["metric"]), entries, arrays["skipped"].tolist())
+    return index, granularity, str(arrays["method"])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -449,7 +452,7 @@ def _cmd_build_index(config: CliConfig, args: argparse.Namespace) -> int:
     out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     table = _load_instruction_table(config, out)
-    index = nbow_histograms(train, config.granularity, table, config.metric)
+    index = build_index(build_instruction_docs(train, config.granularity), table, config.metric)
     path = _index_path(out, config.granularity)
     save_index(path, index, config.granularity, config.method())
     logger.info(

@@ -10,7 +10,9 @@ row-major order; leaving arc = smallest-index minimizer), so it cannot cycle.
 The plan carries the final potentials, from which optimality can be checked
 independently. Top-k search prunes candidates with the relaxed one-sided
 lower bound (and the centroid bound under a Euclidean ground metric) without
-changing results, ties included.
+changing results, ties included. An index keeps one float64 ground-row table
+for its whole vocabulary, built on first use, and gathers each pair's rows
+from it: memory O(vocab · d), not O(total support entries · d).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -440,18 +443,24 @@ def mover_distance(
 class PreparedDoc:
     doc_id: str
     hist: GramHistogram
-    rows: np.ndarray  # `_ground_rows` of the support
-    centroid: np.ndarray | None  # weighted mean row, under Euclidean only
 
 
 @dataclass
 class MoverIndex:
-    """Histograms of a corpus side, prepared for repeated top-k queries."""
+    """Histograms of a corpus side, prepared for repeated top-k queries.
+
+    `rows` is the one ground-row table of the whole vocabulary, built on the
+    first query, so its memory is O(vocab · d); each pair's cost is built
+    from rows gathered out of it. Documents keep only their histograms."""
 
     table: EmbeddingTable
     metric: str
     entries: list[PreparedDoc]
     skipped: list[str] = field(default_factory=list)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _ground_rows(self.table.vectors, self.metric)
 
 
 @dataclass
@@ -464,23 +473,13 @@ class SearchStats:
     pivots: int = 0  # simplex pivots summed over the exact evaluations
 
 
-def prepare_histogram(
-    doc_id: str, hist: GramHistogram, table: EmbeddingTable, metric: str
-) -> PreparedDoc:
-    rows = _ground_rows(table.vectors[hist.support], metric)
-    centroid = hist.weights @ rows if metric == EUCLIDEAN else None
-    return PreparedDoc(doc_id=doc_id, hist=hist, rows=rows, centroid=centroid)
-
-
-def prepare_doc(doc_id: str, tokens: TokenSeq, table: EmbeddingTable, metric: str) -> PreparedDoc:
-    return prepare_histogram(doc_id, nbow(tokens, table), table, metric)
-
-
 def build_index(
     docs: Iterable[tuple[str, TokenSeq]],
     table: EmbeddingTable,
     metric: str = COSINE,
 ) -> MoverIndex:
+    if metric not in (COSINE, EUCLIDEAN):
+        raise ValueError(f"unknown ground metric {metric!r}")
     entries = []
     skipped = []
     for doc_id, tokens in docs:
@@ -490,7 +489,7 @@ def build_index(
             logger.warning("skipping unembeddable document %s", doc_id)
             skipped.append(doc_id)
             continue
-        entries.append(prepare_histogram(doc_id, hist, table, metric))
+        entries.append(PreparedDoc(doc_id=doc_id, hist=hist))
     return MoverIndex(table=table, metric=metric, entries=entries, skipped=skipped)
 
 
@@ -510,23 +509,26 @@ def topk_query(
         raise ValueError("k must be >= 1")
     if not index.entries:
         raise ValueError("index is empty")
-    prepared_query = prepare_doc("__query__", query, index.table, index.metric)
+    query_hist = nbow(query, index.table)
+    rows = index.rows
+    query_rows = rows.take(query_hist.support, axis=0)
+
+    def cost_to(entry: PreparedDoc) -> CostMatrix:
+        return _ground_cost(query_rows, rows.take(entry.hist.support, axis=0), index.metric)
 
     if not pruning:
         evaluated = [
-            (_exact_distance(prepared_query, entry, index.metric, stats), entry.doc_id)
+            (_solve(query_hist, entry.hist, cost_to(entry), stats), entry.doc_id)
             for entry in index.entries
         ]
         return _ranked(evaluated, k)
 
     bounds = []
     for entry in index.entries:
-        cost = _ground_cost(prepared_query.rows, entry.rows, index.metric)
-        bound = rwmd(prepared_query.hist, entry.hist, cost)
+        cost = cost_to(entry)
+        bound = rwmd(query_hist, entry.hist, cost)
         if index.metric == EUCLIDEAN:
-            bound = max(
-                bound, float(np.linalg.norm(prepared_query.centroid - entry.centroid))
-            )
+            bound = max(bound, wcd(query_hist, entry.hist, index.table))
         if stats is not None:
             stats.bound_computations += 1
         bounds.append((bound, entry.doc_id, entry, cost))
@@ -540,10 +542,7 @@ def topk_query(
             if stats is not None:
                 stats.pruned += len(bounds) - len(evaluated)
             break
-        distance, plan = emd_exact(prepared_query.hist, entry.hist, cost)
-        if stats is not None:
-            stats.exact_evaluations += 1
-            stats.pivots += plan.pivots
+        distance = _solve(query_hist, entry.hist, cost, stats)
         evaluated.append((distance, doc_id))
         if len(best_heap) < k:
             heapq.heappush(best_heap, -distance)
@@ -554,9 +553,9 @@ def topk_query(
     return _ranked(evaluated, k)
 
 
-def _exact_distance(query: PreparedDoc, entry: PreparedDoc, metric, stats) -> float:
-    cost = _ground_cost(query.rows, entry.rows, metric)
-    distance, plan = emd_exact(query.hist, entry.hist, cost)
+def _solve(a: GramHistogram, b: GramHistogram, cost: CostMatrix, stats) -> float:
+    """`emd_exact`'s distance, counted in `stats`."""
+    distance, plan = emd_exact(a, b, cost)
     if stats is not None:
         stats.exact_evaluations += 1
         stats.pivots += plan.pivots

@@ -117,11 +117,6 @@ def build_instruction_docs(
     return [(recipe.id, instruction_tokens(recipe, granularity)) for recipe in corpus]
 
 
-def nbow_histograms(corpus: Iterable[Recipe], granularity: str, table, metric: str = COSINE):
-    """Searchable histogram index over a corpus side's instructions."""
-    return build_index(build_instruction_docs(corpus, granularity), table, metric)
-
-
 # --- tf-idf baseline ---------------------------------------------------------
 
 

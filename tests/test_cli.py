@@ -535,6 +535,27 @@ def _one_weight_too_few(arrays):
     arrays["weights"] = arrays["weights"][:-1]
 
 
+def _weight_not_positive(arrays):
+    arrays["weights"][3] *= -1
+
+
+def _empty_document(arrays):
+    arrays["offsets"][1] = 0
+
+
+def _support_id_repeated(arrays):
+    assert arrays["offsets"][1] >= 2
+    arrays["supports"][1] = arrays["supports"][0]
+
+
+def _vectors_one_row_short(arrays):
+    arrays["vectors"] = arrays["vectors"][:-1]
+
+
+def _token_repeated(arrays):
+    arrays["tokens"][1] = arrays["tokens"][0]
+
+
 class TestExtractionChecks:
     @pytest.mark.parametrize(
         "corrupt, array",
@@ -543,9 +564,17 @@ class TestExtractionChecks:
             (_one_doc_id_too_few, "doc_ids"),
             (_offsets_past_supports, "offsets"),
             (_one_weight_too_few, "weights"),
+            (_weight_not_positive, "weights"),
+            (_empty_document, "offsets"),
+            (_support_id_repeated, "supports"),
+            (_vectors_one_row_short, "vectors"),
+            (_token_repeated, "tokens"),
             (lambda arrays: None, None),
         ],
-        ids=["supports", "doc_ids", "offsets", "weights", "untouched"],
+        ids=[
+            "supports", "doc_ids", "offsets", "weights", "weight not positive",
+            "empty document", "support id repeated", "vectors", "tokens", "untouched",
+        ],
     )
     def test_corrupt_index_arrays_are_rejected(self, chain, tmp_path, capsys, corrupt, array):
         out = _copy_chain_inputs(chain, tmp_path / "corrupt")

@@ -3,12 +3,18 @@ optimality certificate, the lower-bound chain, and pruned search
 equivalence."""
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRAM3, make_cost, make_histogram, make_table, random_instance
+from gram_mover import mover
+from gram_mover.cli import load_index, save_index
 from gram_mover.mover import (
     COSINE,
     EUCLIDEAN,
@@ -22,7 +28,6 @@ from gram_mover.mover import (
     mover_distance,
     nbow,
     plan_to_tsv,
-    prepare_doc,
     rwmd,
     topk_query,
     wcd,
@@ -403,6 +408,73 @@ class TestTopkQuery:
         index = build_index([], table, COSINE)
         with pytest.raises(ValueError, match="empty"):
             topk_query(_tokens("aa"), index, k=1)
+
+
+class TestIndexPersistence:
+    @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN])
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_loaded_index_returns_the_same_hits(self, tmp_path, metric, pruning):
+        # both construction paths build their ground rows lazily from the
+        # table, so the hits agree exactly, distances included
+        rng = np.random.default_rng(12)
+        table, docs = _random_corpus(rng, 40)
+        index = build_index(docs, table, metric)
+        path = tmp_path / "index.npz"
+        save_index(path, index, GRAM3, "gram3-sgns")
+        loaded, granularity, method = load_index(path)
+        assert (loaded.metric, granularity, method) == (metric, GRAM3, "gram3-sgns")
+        assert "rows" not in vars(index) and "rows" not in vars(loaded)  # not built yet
+        for q in range(0, 40, 6):
+            hits = topk_query(docs[q][1], index, k=6, pruning=pruning)
+            assert topk_query(docs[q][1], loaded, k=6, pruning=pruning) == hits
+
+
+class TestBenchmarkContract:
+    """What the traced benchmark run reads from the package."""
+
+    @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN])
+    def test_bound_and_solve_of_a_pair_share_one_cost_object(self, monkeypatch, metric):
+        rng = np.random.default_rng(13)
+        table, docs = _random_corpus(rng, 30)
+        index = build_index(docs, table, metric)
+        bounded, solved = [], []
+
+        def recording(calls, function):
+            def record(a, b, cost):
+                calls.append((a, b, cost))
+                return function(a, b, cost)
+
+            return record
+
+        monkeypatch.setattr(mover, "rwmd", recording(bounded, mover.rwmd))
+        monkeypatch.setattr(mover, "emd_exact", recording(solved, mover.emd_exact))
+        topk_query(docs[0][1], index, k=4)
+        assert len(bounded) == 30 and 4 <= len(solved) < 30
+        bound_costs = {id(b): cost for _, b, cost in bounded}
+        for a, b, cost in solved:
+            assert a is bounded[0][0]
+            assert bound_costs[id(b)] is cost
+
+    def test_entries_expose_doc_id_and_support(self):
+        rng = np.random.default_rng(14)
+        table, docs = _random_corpus(rng, 12)
+        index = build_index(docs, table, COSINE)
+        tokens = dict(docs)
+        assert [entry.doc_id for entry in index.entries] == list(tokens)
+        for entry in index.entries:
+            assert len(entry.hist.support) == len(set(tokens[entry.doc_id].tokens))
+
+    def test_every_traced_function_exists(self):
+        trace = Path(__file__).resolve().parent.parent / "bench" / "trace.py"
+        traced = next(
+            node.value
+            for node in ast.parse(trace.read_text()).body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+        )
+        names = [(item.elts[0].value, item.elts[1].value) for item in traced.elts]
+        assert ("mover", "emd_exact") in names
+        for module, function in names:
+            assert callable(getattr(importlib.import_module(f"gram_mover.{module}"), function))
 
 
 class TestBuildIndex:
