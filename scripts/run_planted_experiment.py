@@ -137,17 +137,21 @@ def main(argv=None) -> int:
                 "recall": recall(found, truth),
                 "typo_recall": recall(found, typo_subset),
                 "exact_evaluations": stats.search.exact_evaluations,
+                "early_stopped": stats.search.early_stopped,
                 "seconds": round(elapsed, 2),
             }
         )
 
-    header = f"{'method':<18} {'pairs':>6} {'recall':>7} {'typo':>6} {'EMDs':>7} {'time':>7}"
+    header = (
+        f"{'method':<18} {'pairs':>6} {'recall':>7} {'typo':>6} {'EMDs':>7} {'stopped':>7} {'time':>7}"
+    )
     print(header)
     print("-" * len(header))
     for row in rows:
         print(
             f"{row['method']:<18} {row['pairs']:>6} {row['recall']:>7.2f} "
-            f"{row['typo_recall']:>6.2f} {row['exact_evaluations']:>7} {row['seconds']:>6.1f}s"
+            f"{row['typo_recall']:>6.2f} {row['exact_evaluations']:>7} {row['early_stopped']:>7} "
+            f"{row['seconds']:>6.1f}s"
         )
 
     if args.json:

@@ -320,6 +320,13 @@ def save_index(path: Path, index: MoverIndex, granularity: str, method: str) -> 
     _atomic_write(path, writer)
 
 
+#: every array `save_index` writes, in its order
+_INDEX_ARRAYS = (
+    "tokens", "vectors", "doc_ids", "offsets", "supports", "weights",
+    "skipped", "granularity", "metric", "method",
+)
+
+
 def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """Reject CSR arrays that do not describe one histogram per doc id over
     the stored vocabulary; the error names the file, the array and, where
@@ -358,10 +365,13 @@ def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
 
 def load_index(path: Path) -> tuple[MoverIndex, str, str]:
     """The index `save_index` wrote: each document's histogram is a view into
-    the stored CSR arrays. Arrays that do not fit together raise ValueError
-    naming the file."""
+    the stored CSR arrays. Missing arrays, or arrays that do not fit
+    together, raise ValueError naming the file."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
+    missing = [name for name in _INDEX_ARRAYS if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: missing index arrays: {', '.join(missing)}")
     _check_index_arrays(path, arrays)
     granularity = str(arrays["granularity"])
     offsets, supports, weights = arrays["offsets"], arrays["supports"], arrays["weights"]
@@ -498,11 +508,12 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     _atomic_write(path, lambda tmp: save_pairs(pairs, tmp))
     logger.info(
         "%d candidate pairs from %d queries "
-        "(%d skipped, %d exact distance evaluations, %d pivots) to %s",
+        "(%d skipped, %d exact distance evaluations, %d stopped early, %d pivots) to %s",
         len(pairs),
         stats.queries_total,
         len(stats.queries_skipped),
         stats.search.exact_evaluations,
+        stats.search.early_stopped,
         stats.search.pivots,
         path,
     )

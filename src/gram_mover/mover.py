@@ -8,11 +8,22 @@ cost over the full cost matrix. After a long run of degenerate pivots it
 switches to Bland's rule (entering arc = first negative reduced cost in
 row-major order; leaving arc = smallest-index minimizer), so it cannot cycle.
 The plan carries the final potentials, from which optimality can be checked
-independently. Top-k search prunes candidates with the relaxed one-sided
-lower bound (and the centroid bound under a Euclidean ground metric) without
-changing results, ties included. An index keeps one float64 ground-row table
-for its whole vocabulary, built on first use, and gathers each pair's rows
-from it: memory O(vocab · d), not O(total support entries · d).
+independently.
+
+A solve can be given a cutoff. It then stops as soon as a dual-feasible
+lower bound exceeds the cutoff: first the row-and-column reduction of the
+cost, before any basis is built, then at every pivot the current potentials
+with each column potential lowered by the most negative reduced cost of its
+column. A stopped solve returns no distance. A solve that completes takes
+the same pivots as without a cutoff.
+
+Top-k search prunes candidates with the relaxed one-sided lower bound (and
+the centroid bound under a Euclidean ground metric), and once it holds k
+distances it stops every solve whose distance cannot reach them (early
+abandoning), without changing results, ties included. An index keeps one
+float64 ground-row table for its whole vocabulary, built on first use, and
+gathers each pair's rows from it: memory O(vocab · d), not O(total support
+entries · d).
 """
 
 from __future__ import annotations
@@ -43,6 +54,15 @@ _REDUCED_COST_TOL = 1e-12
 #: centroid bound can land an ulp above an equal exact distance), and a
 #: pruned tie with a smaller doc id would change the result
 _PRUNE_SLACK = 1e-9
+
+
+class _StoppedEarly(Exception):
+    """A solve given a cutoff proved its distance exceeds it; carries the
+    pivots taken until then."""
+
+    def __init__(self, pivots: int):
+        super().__init__(f"distance exceeds the cutoff after {pivots} pivots")
+        self.pivots = pivots
 
 
 class SolverError(RuntimeError):
@@ -145,13 +165,18 @@ def cost_matrix(
 
 
 def emd_exact(
-    a: GramHistogram, b: GramHistogram, c: CostMatrix
+    a: GramHistogram, b: GramHistogram, c: CostMatrix, *, cutoff: float = np.inf
 ) -> tuple[float, TransportPlan]:
     """Exact minimum-cost transport between the two histograms.
 
     Returns the optimal value and an attaining plan whose marginals match the
     histogram weights to 1e-9, together with the final potentials and the
     number of pivots taken.
+
+    With a finite `cutoff` the solve stops, raising the private
+    `_StoppedEarly`, as soon as a dual lower bound on the value exceeds it;
+    the value then exceeds the cutoff too, up to rounding. A solve that
+    completes returns exactly what it returns without a cutoff.
     """
     cost = np.ascontiguousarray(c.values, dtype=np.float64)
     m, n = cost.shape
@@ -160,7 +185,7 @@ def emd_exact(
 
     try:
         flow, row_potential, column_potential, pivots = _network_simplex(
-            a.weights, b.weights, cost
+            a.weights, b.weights, cost, cutoff=cutoff
         )
         row_err = np.abs(flow.sum(axis=1) - a.weights).max()
         col_err = np.abs(flow.sum(axis=0) - b.weights).max()
@@ -235,8 +260,29 @@ def _greedy_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[tuple[
     return arcs
 
 
+def _reduction_bound(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
+    """Lower bound from reducing the cost: u = row minima and v = column
+    minima of cost - u, or the other way round. Both pairs leave no reduced
+    cost negative, so either dual value bounds the optimum; the larger one
+    is returned."""
+    row_min = cost.min(axis=1)
+    col_min = cost.min(axis=0)
+    rows_first = a @ row_min + b @ (cost - row_min[:, None]).min(axis=0)
+    cols_first = a @ (cost - col_min).min(axis=1) + b @ col_min
+    return float(max(rows_first, cols_first))
+
+
+def _pivot_bound(
+    a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, reduced: np.ndarray
+) -> float:
+    """Lower bound from the potentials of a basis and their reduced costs:
+    lowering each v_j by the most negative reduced cost of its column makes
+    the potentials dual feasible."""
+    return float(a @ u + b @ (v + np.minimum(reduced.min(axis=0), 0.0)))
+
+
 def _network_simplex(
-    a: np.ndarray, b: np.ndarray, cost: np.ndarray
+    a: np.ndarray, b: np.ndarray, cost: np.ndarray, *, cutoff: float = np.inf
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Primal network simplex on the bipartite transportation graph.
 
@@ -256,9 +302,17 @@ def _network_simplex(
       entering arc becomes the first negative one in row-major order (Bland),
       until a pivot moves flow. Leaving-arc ties always break on the smallest
       row-major arc index.
+    - Cutoff: with a finite `cutoff`, `_reduction_bound` is checked before
+      the basis is built and `_pivot_bound` before every pricing step; once
+      either exceeds the cutoff the solve raises `_StoppedEarly`. The checks
+      only read the cost and the pricing matrix, so they never change the
+      pivots taken.
     """
     m, n = cost.shape
     size = m + n
+    bounded = cutoff < np.inf
+    if bounded and _reduction_bound(a, b, cost) > cutoff:
+        raise _StoppedEarly(0)
 
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(size)]
     for i, j, moved in _greedy_basis(a, b, cost):
@@ -294,6 +348,8 @@ def _network_simplex(
     for pivots in range(pivot_cap):
         np.subtract(cost, u[:, None], out=reduced_matrix)
         reduced_matrix -= v
+        if bounded and _pivot_bound(a, b, u, v, reduced_matrix) > cutoff:
+            raise _StoppedEarly(pivots)
         if stall <= size:
             entering = int(reduced.argmin())
             if reduced[entering] >= -_REDUCED_COST_TOL:
@@ -465,12 +521,16 @@ class MoverIndex:
 
 @dataclass
 class SearchStats:
-    """Work counters of `topk_query`; they repeat exactly for equal inputs."""
+    """Work counters of `topk_query`; they repeat exactly for equal inputs.
 
-    exact_evaluations: int = 0
+    Every bounded candidate is solved to the end, stopped early or pruned:
+    `bound_computations == exact_evaluations + early_stopped + pruned`."""
+
+    exact_evaluations: int = 0  # solves run to the optimum
     bound_computations: int = 0
-    pruned: int = 0
-    pivots: int = 0  # simplex pivots summed over the exact evaluations
+    pruned: int = 0  # candidates never solved: their bound exceeds the k-th best
+    early_stopped: int = 0  # solves stopped once they could not reach the k best
+    pivots: int = 0  # simplex pivots summed over completed and stopped solves
 
 
 def build_index(
@@ -501,9 +561,14 @@ def topk_query(
     stats: SearchStats | None = None,
 ) -> list[tuple[str, float]]:
     """The k nearest indexed documents by exact mover distance, ascending,
-    ties broken by doc id. Pruning skips the exact solve whenever a lower
-    bound exceeds the current k-th best by more than rounding; results are
-    identical either way, ties included.
+    ties broken by doc id.
+
+    Pruning visits candidates in order of their lower bound and skips the
+    exact solve whenever that bound exceeds the current k-th best by more
+    than rounding. Once k distances are held, each solve also gets the k-th
+    best plus that rounding slack as its cutoff, and stops early once its
+    distance provably cannot reach the k best. Results are identical either
+    way, ties included; without pruning every candidate is solved to the end.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -535,27 +600,38 @@ def topk_query(
     bounds.sort(key=lambda item: (item[0], item[1]))
 
     evaluated: list[tuple[float, str]] = []
-    worst_kth = np.inf
+    cutoff = np.inf  # the k-th best distance plus slack, once k are held
     best_heap: list[float] = []  # max-heap (negated) of the k best distances
-    for bound, doc_id, entry, cost in bounds:
-        if len(best_heap) == k and bound > worst_kth + _PRUNE_SLACK:
+    for position, (bound, doc_id, entry, cost) in enumerate(bounds):
+        if bound > cutoff:
             if stats is not None:
-                stats.pruned += len(bounds) - len(evaluated)
+                stats.pruned += len(bounds) - position
             break
-        distance = _solve(query_hist, entry.hist, cost, stats)
+        distance = _solve(query_hist, entry.hist, cost, stats, cutoff)
+        if distance is None:
+            continue
         evaluated.append((distance, doc_id))
         if len(best_heap) < k:
             heapq.heappush(best_heap, -distance)
         elif distance < -best_heap[0]:
             heapq.heapreplace(best_heap, -distance)
         if len(best_heap) == k:
-            worst_kth = -best_heap[0]
+            cutoff = -best_heap[0] + _PRUNE_SLACK
     return _ranked(evaluated, k)
 
 
-def _solve(a: GramHistogram, b: GramHistogram, cost: CostMatrix, stats) -> float:
-    """`emd_exact`'s distance, counted in `stats`."""
-    distance, plan = emd_exact(a, b, cost)
+def _solve(
+    a: GramHistogram, b: GramHistogram, cost: CostMatrix, stats, cutoff: float = np.inf
+) -> float | None:
+    """`emd_exact`'s distance, counted in `stats`; None when the solve stopped
+    early because its distance exceeds `cutoff`."""
+    try:
+        distance, plan = emd_exact(a, b, cost, cutoff=cutoff)
+    except _StoppedEarly as stopped:
+        if stats is not None:
+            stats.early_stopped += 1
+            stats.pivots += stopped.pivots
+        return None
     if stats is not None:
         stats.exact_evaluations += 1
         stats.pivots += plan.pivots

@@ -556,6 +556,10 @@ def _token_repeated(arrays):
     arrays["tokens"][1] = arrays["tokens"][0]
 
 
+def _weights_missing(arrays):
+    del arrays["weights"]
+
+
 class TestExtractionChecks:
     @pytest.mark.parametrize(
         "corrupt, array",
@@ -569,11 +573,13 @@ class TestExtractionChecks:
             (_support_id_repeated, "supports"),
             (_vectors_one_row_short, "vectors"),
             (_token_repeated, "tokens"),
+            (_weights_missing, "weights"),
             (lambda arrays: None, None),
         ],
         ids=[
             "supports", "doc_ids", "offsets", "weights", "weight not positive",
-            "empty document", "support id repeated", "vectors", "tokens", "untouched",
+            "empty document", "support id repeated", "vectors", "tokens", "weights missing",
+            "untouched",
         ],
     )
     def test_corrupt_index_arrays_are_rejected(self, chain, tmp_path, capsys, corrupt, array):
@@ -612,7 +618,7 @@ class TestExtractionChecks:
         corpus = out / "corpus.jsonl"
         assert run("build-index", "--corpus", corpus, "--out", out) == 0
 
-        def failing_solver(a, b, cost):
+        def failing_solver(a, b, cost, *, cutoff):
             raise SolverError("forced failure")
 
         monkeypatch.setattr("gram_mover.mover._network_simplex", failing_solver)

@@ -215,6 +215,78 @@ class TestOptimalityCertificate:
             certify_optimal(a.weights, a.weights, cost.values, swapped, tol=1e-9)
 
 
+def _instance_up_to_45(rng):
+    """Random instance of up to 45×45; half of them take uniform weights and
+    one-decimal costs, so that most pivots are degenerate."""
+    m, n = (int(size) for size in rng.integers(1, 46, size=2))
+    degenerate = bool(rng.integers(2))
+    a = make_histogram(np.ones(m) if degenerate else rng.dirichlet(np.ones(m)))
+    b = make_histogram(np.ones(n) if degenerate else rng.dirichlet(np.ones(n)))
+    values = rng.random((m, n))
+    if degenerate:
+        values = np.round(values, 1)
+    return a, b, make_cost(values)
+
+
+class TestCutoff:
+    """A solve given a cutoff completes exactly as without one, or stops
+    only when its certified optimum exceeds the cutoff."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=seeds)
+    def test_completes_unchanged_or_stops_above_the_optimum(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, cost = _instance_up_to_45(rng)
+        distance, plan = emd_exact(a, b, cost)
+        certify_optimal(a.weights, b.weights, cost.values, plan, tol=1e-9)
+        cutoff = float(distance * rng.uniform(0.5, 1.5) + rng.uniform(-1e-3, 1e-3))
+        try:
+            cut_distance, cut_plan = emd_exact(a, b, cost, cutoff=cutoff)
+        except mover._StoppedEarly:
+            assert distance > cutoff
+            return
+        assert distance <= cutoff + 1e-12
+        assert cut_distance == distance
+        assert cut_plan.pivots == plan.pivots
+        for name in ("flow", "row_potential", "column_potential"):
+            assert getattr(cut_plan, name).tobytes() == getattr(plan, name).tobytes(), name
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=seeds)
+    def test_every_bound_is_below_the_certified_optimum(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, cost = _instance_up_to_45(rng)
+        distance, plan = emd_exact(a, b, cost)
+        certify_optimal(a.weights, b.weights, cost.values, plan, tol=1e-9)
+        bounds = []
+
+        def recording(function):
+            def record(*args):
+                bounds.append(function(*args))
+                return bounds[-1]
+
+            return record
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mover, "_reduction_bound", recording(mover._reduction_bound))
+            patch.setattr(mover, "_pivot_bound", recording(mover._pivot_bound))
+            _, bounded_plan = emd_exact(a, b, cost, cutoff=np.finfo(np.float64).max)
+        assert bounded_plan.pivots == plan.pivots
+        # the reduction, then one bound per pricing step, the last at the optimum
+        assert len(bounds) == plan.pivots + 2
+        assert max(bounds) <= distance + 1e-12
+        assert bounds[-1] == pytest.approx(distance, abs=1e-12)
+
+    def test_stops_before_the_basis_when_the_reduction_exceeds_the_cutoff(self):
+        a = make_histogram([0.5, 0.5])
+        cost = make_cost([[0.4, 0.9], [0.8, 0.3]])  # optimum 0.35, reduction bound 0.35
+        with pytest.raises(mover._StoppedEarly) as caught:
+            emd_exact(a, a, cost, cutoff=0.3)
+        assert caught.value.pivots == 0
+        distance, _ = emd_exact(a, a, cost, cutoff=0.35)
+        assert distance == pytest.approx(0.35, abs=1e-15)
+
+
 class TestLowerBounds:
     def test_rwmd_zero_on_identity(self):
         hist = make_histogram([0.5, 0.5])
@@ -338,7 +410,7 @@ class TestTopkQuery:
         topk_query(docs[0][1], index, k=3, pruning=True, stats=stats)
         assert stats.bound_computations == 120
         assert stats.exact_evaluations < 120
-        assert stats.pruned == 120 - stats.exact_evaluations
+        assert stats.pruned == 120 - stats.exact_evaluations - stats.early_stopped
 
     @settings(deadline=None, max_examples=25)
     @example(seed=134)  # Euclidean k=2: pruning without slack dropped a tie
@@ -360,8 +432,28 @@ class TestTopkQuery:
         for metric in (COSINE, EUCLIDEAN):
             index = build_index(docs, table, metric)
             for k in range(1, 6):
-                pruned = topk_query(query, index, k, pruning=True)
+                # pruning stops solves early too, once it holds k distances
+                stats = SearchStats()
+                pruned = topk_query(query, index, k, pruning=True, stats=stats)
                 assert pruned == topk_query(query, index, k, pruning=False), (metric, k)
+                assert stats.bound_computations == (
+                    stats.exact_evaluations + stats.early_stopped + stats.pruned
+                )
+
+    @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN])
+    def test_early_stopping_keeps_the_exhaustive_hits(self, metric):
+        rng = np.random.default_rng(11)
+        table, docs = _random_corpus(rng, 80, vocab_size=120)
+        index = build_index(docs, table, metric)
+        stats = SearchStats()
+        for q in range(0, 80, 8):
+            hits = topk_query(docs[q][1], index, k=5, stats=stats)
+            assert hits == topk_query(docs[q][1], index, k=5, pruning=False)
+        assert stats.early_stopped > 0
+        assert stats.bound_computations == 10 * 80
+        assert stats.bound_computations == (
+            stats.exact_evaluations + stats.early_stopped + stats.pruned
+        )
 
     def test_pivot_count_repeats_exactly(self):
         rng = np.random.default_rng(10)
@@ -440,9 +532,9 @@ class TestBenchmarkContract:
         bounded, solved = [], []
 
         def recording(calls, function):
-            def record(a, b, cost):
+            def record(a, b, cost, **options):  # `emd_exact` also gets a cutoff
                 calls.append((a, b, cost))
-                return function(a, b, cost)
+                return function(a, b, cost, **options)
 
             return record
 
@@ -516,7 +608,7 @@ class TestSolverError:
         assert "boom" in str(err)
 
     def test_emd_exact_attaches_the_instance(self, monkeypatch):
-        def fail(a, b, cost):
+        def fail(a, b, cost, *, cutoff):
             raise SolverError("no convergence")
 
         monkeypatch.setattr("gram_mover.mover._network_simplex", fail)
