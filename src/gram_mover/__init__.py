@@ -9,7 +9,6 @@ from .embed import (
     SgnsConfig,
     Vocab,
     build_vocab,
-    cosine_distance,
     load_vectors,
     nearest_neighbors,
     save_vectors,
@@ -82,11 +81,8 @@ from .pipeline import (
 )
 from .synth import PlantedPair, generate_corpus, load_truth, save_truth, synthetic_classification_pool
 from .textnorm import (
-    INSTRUCTION_NORMALIZATION,
-    NormalizationConfig,
     fold_kana,
     fold_width,
-    normalize,
     strip_parenthetical,
     strip_symbols,
 )

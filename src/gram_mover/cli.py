@@ -19,7 +19,7 @@ import zlib
 from dataclasses import asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -56,33 +56,10 @@ from .pipeline import (
     save_pairs,
     train_ingredient_table,
 )
-from .synth import CUTOFF, generate_corpus, save_truth
+from .synth import CUTOFF, MAX_INGREDIENTS, generate_corpus, save_truth
 from .tokenize import WORD
 
 logger = logging.getLogger(__name__)
-
-GRAM3_NAME = GRAM3
-WORD_NAME = WORD
-
-_INT_FIELDS = {
-    "k",
-    "threshold",
-    "seed",
-    "dimension",
-    "window",
-    "negatives",
-    "epochs",
-    "min_count",
-    "noise_table_size",
-    "train_size",
-    "planted",
-    "fresh",
-    "pool_size",
-}
-_FLOAT_FIELDS = {"subsample_threshold", "initial_step_size", "final_step_size", "typo_rate"}
-_BOOL_FIELDS = {"baseline_words"}
-_STR_FIELDS = {"corpus", "cutoff", "granularity", "embedding_source", "metric", "out"}
-_ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS | _BOOL_FIELDS | _STR_FIELDS
 
 
 class ConfigError(Exception):
@@ -105,9 +82,13 @@ class MissingArtifact(Exception):
 
 @dataclass
 class CliConfig:
+    """Every setting a subcommand reads, with its type and default; a
+    config-file key or flag is named after its field. The SGNS fields match
+    `SgnsConfig`'s names and defaults."""
+
     corpus: str | None = None
     cutoff: date = CUTOFF
-    granularity: str = GRAM3_NAME
+    granularity: str = GRAM3
     embedding_source: str = "train-sgns"
     metric: str = COSINE
     k: int = 10
@@ -131,18 +112,7 @@ class CliConfig:
     typo_rate: float = 0.02
 
     def sgns_config(self) -> SgnsConfig:
-        return SgnsConfig(
-            dimension=self.dimension,
-            window=self.window,
-            negatives=self.negatives,
-            epochs=self.epochs,
-            initial_step_size=self.initial_step_size,
-            final_step_size=self.final_step_size,
-            subsample_threshold=self.subsample_threshold,
-            min_count=self.min_count,
-            seed=self.seed,
-            noise_table_size=self.noise_table_size,
-        )
+        return SgnsConfig(**{f.name: getattr(self, f.name) for f in fields(SgnsConfig)})
 
     def out_dir(self) -> Path:
         return Path(self.out)
@@ -150,6 +120,31 @@ class CliConfig:
     def method(self) -> str:
         suffix = "sgns" if self.embedding_source == "train-sgns" else "external"
         return f"{self.granularity}-{suffix}"
+
+
+#: each setting's type, from its annotation
+_FIELD_TYPES = get_type_hints(CliConfig)
+
+#: (comparison, bound) that each numeric setting must satisfy, except
+#: `typo_rate`, a probability, and `subsample_threshold`, which any value
+#: <= 0 turns off
+_LOWER_BOUNDS = {
+    "k": (">=", 1),
+    "threshold": (">=", 0),
+    "seed": (">=", 0),
+    "dimension": (">=", 1),
+    "window": (">=", 1),
+    "negatives": (">=", 1),
+    "epochs": (">=", 1),
+    "initial_step_size": (">", 0),
+    "final_step_size": (">", 0),
+    "min_count": (">=", 1),
+    "noise_table_size": (">=", 1),
+    "train_size": (">=", 0),
+    "planted": (">=", 0),
+    "fresh": (">=", 0),
+    "pool_size": (">=", MAX_INGREDIENTS),
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -164,25 +159,27 @@ def read_config_file(path: str) -> dict[str, str]:
                 raise ConfigError("config", f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _ALL_FIELDS:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(key, f"{path}:{line_no}: unknown setting")
             values[key] = value.strip()
     return values
 
 
 def _coerce(field_name: str, raw: str):
+    """`raw` as the setting's type; strings stay as they are."""
+    kind = _FIELD_TYPES[field_name]
     try:
-        if field_name in _INT_FIELDS:
-            return int(raw)
-        if field_name in _FLOAT_FIELDS:
-            return float(raw)
-        if field_name in _BOOL_FIELDS:
+        if kind is bool:
             lowered = raw.lower()
             if lowered in ("true", "yes", "1"):
                 return True
             if lowered in ("false", "no", "0"):
                 return False
             raise ValueError("expected a boolean")
+        if kind is date:
+            return date.fromisoformat(raw)
+        if kind in (int, float):
+            return kind(raw)
         return raw
     except ValueError as error:
         raise ConfigError(field_name, f"cannot parse {raw!r}: {error}") from error
@@ -197,36 +194,30 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
             raise ConfigError("config", f"file not found: {args.config}")
         file_values = read_config_file(args.config)
 
-    for name in _ALL_FIELDS:
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            setattr(config, name, cli_value)
-        elif name in file_values:
-            setattr(config, name, _coerce(name, file_values[name]))
-
-    if isinstance(config.cutoff, str):
-        try:
-            config.cutoff = date.fromisoformat(config.cutoff)
-        except ValueError as error:
-            raise ConfigError("cutoff", str(error)) from error
+    for f in fields(CliConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            value = file_values.get(f.name)
+        if value is not None:
+            # flags arrive typed except `--cutoff`; file values are all strings
+            setattr(config, f.name, _coerce(f.name, value) if isinstance(value, str) else value)
 
     _validate(config)
     return config
 
 
 def _validate(config: CliConfig) -> None:
-    if config.granularity not in (GRAM3_NAME, WORD_NAME):
-        raise ConfigError("granularity", f"must be {GRAM3_NAME} or {WORD_NAME}")
+    if config.granularity not in (GRAM3, WORD):
+        raise ConfigError("granularity", f"must be {GRAM3} or {WORD}")
     if config.metric not in (COSINE, EUCLIDEAN):
         raise ConfigError("metric", f"must be {COSINE} or {EUCLIDEAN}")
-    for name in ("k", "dimension", "window", "negatives", "epochs"):
-        if getattr(config, name) < 1:
-            raise ConfigError(name, "must be >= 1")
-    for name in ("threshold", "min_count", "seed"):
-        if getattr(config, name) < 0:
-            raise ConfigError(name, "must be >= 0")
-    if config.noise_table_size < 1:
-        raise ConfigError("noise_table_size", "must be >= 1")
+    for name, (comparison, bound) in _LOWER_BOUNDS.items():
+        value = getattr(config, name)
+        # written as "not ..." so that NaN fails too
+        if not (value > bound if comparison == ">" else value >= bound):
+            raise ConfigError(name, f"must be {comparison} {bound}")
+    if config.planted > config.train_size:
+        raise ConfigError("planted", f"must be <= train_size ({config.train_size})")
     if not 0.0 <= config.typo_rate <= 1.0:
         raise ConfigError("typo_rate", "must be in [0, 1]")
     if config.embedding_source != "train-sgns" and not Path(config.embedding_source).is_file():
@@ -628,21 +619,28 @@ _COMMANDS = {
 }
 
 
+def _setting_flag(parser: argparse.ArgumentParser, name: str, **options) -> None:
+    """`--name-with-dashes`, typed as the `CliConfig` field `name`."""
+    parser.add_argument(
+        f"--{name.replace('_', '-')}", dest=name, type=_FIELD_TYPES[name], **options
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value settings file")
     common.add_argument("--corpus", help="recipe corpus (JSON Lines)")
     common.add_argument("--cutoff", help="train/test split date (YYYY-MM-DD)")
-    common.add_argument("--granularity", choices=(GRAM3_NAME, WORD_NAME))
+    common.add_argument("--granularity", choices=(GRAM3, WORD))
     common.add_argument(
         "--embedding-source",
         dest="embedding_source",
         help="'train-sgns' or a path to a text-format vector file",
     )
     common.add_argument("--metric", choices=(COSINE, EUCLIDEAN))
-    common.add_argument("--k", type=int, help="retrieval depth per query")
-    common.add_argument("--threshold", type=int, help="ingredients-distance filter")
-    common.add_argument("--seed", type=int)
+    _setting_flag(common, "k", help="retrieval depth per query")
+    _setting_flag(common, "threshold", help="ingredients-distance filter")
+    _setting_flag(common, "seed")
     common.add_argument("--out", help="artifact directory")
     common.add_argument(
         "--threads",
@@ -652,10 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--verbose", action="store_true")
     sgns_help = "SGNS setting for the instruction embeddings only; the ingredient table's are fixed"
-    for name in ("dimension", "window", "negatives", "epochs", "min-count", "noise-table-size"):
-        common.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, help=sgns_help)
-    for name in ("subsample-threshold", "initial-step-size", "final-step-size"):
-        common.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, help=sgns_help)
+    for f in fields(SgnsConfig):
+        if f.name != "seed":
+            _setting_flag(common, f.name, help=sgns_help)
     common.add_argument(
         "--baseline-words",
         dest="baseline_words",
@@ -669,12 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Near-duplicate recipe detection via a mover's distance over character 3-grams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("synth-corpus", parents=[common], help="generate the planted-duplicate corpus")
-    for name in ("train-size", "planted", "fresh", "pool-size"):
-        sub.choices["synth-corpus"].add_argument(
-            f"--{name}", dest=name.replace("-", "_"), type=int
-        )
-    sub.choices["synth-corpus"].add_argument("--typo-rate", dest="typo_rate", type=float)
+    synth_parser = sub.add_parser("synth-corpus", parents=[common], help="generate the planted-duplicate corpus")
+    for name in ("train_size", "planted", "fresh", "pool_size", "typo_rate"):
+        _setting_flag(synth_parser, name)
     sub.add_parser("train-embeddings", parents=[common], help="train instruction and ingredient embeddings")
     sub.add_parser("build-index", parents=[common], help="prepare train-side histograms for search")
     sub.add_parser("extract-candidates", parents=[common], help="mover-distance retrieval + ingredients filter")

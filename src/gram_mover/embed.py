@@ -3,13 +3,12 @@
 The trainer is a plain numpy implementation: input and output vector tables,
 logistic loss against noise samples drawn from the unigram distribution raised
 to 3/4, dynamic window, frequency subsampling, and a linearly decayed step
-size. Training runs on one thread, and a fixed seed makes it bitwise
-reproducible.
+size. Training runs on one thread, one document at a time, and a fixed seed
+makes it bitwise reproducible.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,8 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .tokenize import TokenSeq
-
-logger = logging.getLogger(__name__)
 
 _ESCAPE_RE = re.compile(r"\\u([0-9a-fA-F]{4})")
 
@@ -32,7 +29,6 @@ class Vocab:
     tokens: list[str]
     index: dict[str, int]
     counts: np.ndarray | None
-    min_count: int = 0
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -58,8 +54,9 @@ class SgnsConfig:
         for name in ("dimension", "window", "negatives", "epochs", "min_count", "noise_table_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.initial_step_size <= 0 or self.final_step_size <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("initial_step_size", "final_step_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         return self
 
 
@@ -111,7 +108,6 @@ def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:
         tokens=token_list,
         index={token: pos for pos, token in enumerate(token_list)},
         counts=np.array([count for _, count in retained], dtype=np.int64),
-        min_count=min_count,
     )
 
 
@@ -140,15 +136,13 @@ def _encode_documents(documents: Sequence[TokenSeq], vocab: Vocab) -> list[np.nd
     return encoded
 
 
-def train_sgns(
-    documents: Sequence[TokenSeq],
-    config: SgnsConfig,
-    epoch_losses: list[float] | None = None,
-) -> EmbeddingTable:
+def train_sgns(documents: Sequence[TokenSeq], config: SgnsConfig) -> EmbeddingTable:
     """Train input vectors with SGNS over the documents' token streams.
 
-    The update order is fixed by the seed, so results are bitwise
-    reproducible. `epoch_losses`, when given, receives each epoch's mean loss.
+    Each epoch visits the documents in order, subsamples each one, and
+    updates the vectors one kept token at a time with a step size decayed
+    linearly over all epochs' tokens. The update order is fixed by the seed,
+    so results are bitwise reproducible.
     """
     config = config.validated()
     granularities = {doc.granularity for doc in documents if len(doc)}
@@ -168,7 +162,6 @@ def train_sgns(
     syn1 = np.zeros((size, config.dimension), dtype=np.float32)
     noise = _noise_cumulative(vocab.counts)
 
-    total_tokens = sum(len(doc) for doc in encoded)
     if config.subsample_threshold > 0:
         frequencies = vocab.counts / vocab.counts.sum()
         ratio = config.subsample_threshold / frequencies
@@ -176,70 +169,39 @@ def train_sgns(
     else:
         keep_prob = None
 
-    state = _TrainState(syn0, syn1, noise, keep_prob, config, total_tokens)
-    for epoch in range(config.epochs):
-        loss = _train_epoch(encoded, state, rng, epoch, track_loss=epoch_losses is not None)
-        if epoch_losses is not None:
-            epoch_losses.append(loss)
+    schedule_span = max(1, config.epochs * sum(len(doc) for doc in encoded))
+    processed = 0
+    for _ in range(config.epochs):
+        for doc in encoded:
+            processed += len(doc)
+            if len(doc) < 2:
+                continue
+            kept = doc[rng.random(len(doc)) < keep_prob[doc]] if keep_prob is not None else doc
+            if len(kept) < 2:
+                continue
+            step = max(
+                config.final_step_size,
+                config.initial_step_size * (1.0 - processed / schedule_span),
+            )
+            _train_document(kept, syn0, syn1, noise, config, rng, np.float32(step))
 
     return EmbeddingTable(vocab=vocab, vectors=syn0)
 
 
-@dataclass
-class _TrainState:
-    syn0: np.ndarray
-    syn1: np.ndarray
-    noise: np.ndarray  # cumulative noise distribution
-    keep_prob: np.ndarray | None
-    config: SgnsConfig
-    total_tokens: int
-    processed: int = 0
-
-
-def _train_epoch(
-    encoded: list[np.ndarray],
-    state: _TrainState,
-    rng: np.random.Generator,
-    epoch: int,
-    track_loss: bool = False,
-) -> float:
-    config = state.config
-    loss_sum = 0.0
-    pair_count = 0
-    schedule_span = max(1, config.epochs * state.total_tokens)
-    for doc in encoded:
-        if len(doc) < 2:
-            state.processed += len(doc)
-            continue
-        if state.keep_prob is not None:
-            kept = doc[rng.random(len(doc)) < state.keep_prob[doc]]
-        else:
-            kept = doc
-        state.processed += len(doc)
-        if len(kept) < 2:
-            continue
-        step = max(
-            config.final_step_size,
-            config.initial_step_size * (1.0 - state.processed / schedule_span),
-        )
-        loss_sum += _train_document(kept, state, rng, np.float32(step), track_loss)
-        pair_count += len(kept)
-    return loss_sum / max(1, pair_count)
-
-
 def _train_document(
     kept: np.ndarray,
-    state: _TrainState,
+    syn0: np.ndarray,
+    syn1: np.ndarray,
+    noise: np.ndarray,
+    config: SgnsConfig,
     rng: np.random.Generator,
     step: np.float32,
-    track_loss: bool,
-) -> float:
-    config = state.config
-    syn0, syn1 = state.syn0, state.syn1
-    noise = state.noise
+) -> None:
+    """One pass over a subsampled document: each kept token against its
+    dynamic window's contexts and `negatives` noise draws per context, with
+    `syn0` and `syn1` updated in place."""
     n = len(kept)
     spans = rng.integers(1, config.window + 1, size=n)
-    loss = 0.0
     for pos in range(n):
         span = spans[pos]
         lo = max(0, pos - span)
@@ -266,28 +228,8 @@ def _train_document(
         raw = np.clip(rows.dot(v), -30.0, 30.0)
         scores = 1.0 / (1.0 + np.exp(-raw))
         gradient = (labels - scores) * step
-        if track_loss:
-            eps = 1e-10
-            positive = scores[labels == 1.0]
-            negative = scores[labels == 0.0]
-            loss -= float(np.log(positive + eps).sum() + np.log1p(-negative + eps).sum())
         np.add.at(syn1, targets, gradient[:, None] * v[None, :])
         syn0[center] = v + gradient.dot(rows)
-    return loss
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v), in [0, 2]. A zero vector yields 1 (logged)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        logger.warning("cosine_distance on a zero vector; returning 1.0")
-        return 1.0
-    return float(np.clip(1.0 - u.dot(v) / (nu * nv), 0.0, 2.0))
 
 
 def nearest_neighbors(

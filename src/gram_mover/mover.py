@@ -97,12 +97,13 @@ class GramHistogram:
 @dataclass(frozen=True)
 class CostMatrix:
     values: np.ndarray  # (|supportA|, |supportB|), nonnegative finite
-    metric: str
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate NaN, so these two reductions see every entry
+        lo, hi = self.values.min(), self.values.max()
+        if not -np.inf < lo <= hi < np.inf:
             raise ValueError("cost matrix must be finite")
-        if np.any(self.values < 0):
+        if lo < 0:
             raise ValueError("cost matrix must be nonnegative")
 
 
@@ -150,7 +151,7 @@ def _ground_cost(rows_a: np.ndarray, rows_b: np.ndarray, metric: str) -> CostMat
         )
         cost = np.sqrt(np.maximum(sq, 0.0))
     cost[cost < COST_CLAMP] = 0.0
-    return CostMatrix(values=cost, metric=metric)
+    return CostMatrix(values=cost)
 
 
 def cost_matrix(

@@ -3,7 +3,7 @@
 For each test-side recipe, retrieve the top-k train-side recipes by an
 instruction-text measure (mover distance at 3-gram or word granularity, or
 a tf-idf cosine baseline), then keep pairs whose ingredients distance passes
-the annotation filter. All methods share the split, normalization, and
+the annotation filter. All methods share the split, width folding, and
 filter logic; only the instruction measure differs.
 """
 
@@ -18,9 +18,14 @@ import numpy as np
 
 from .corpus import Corpus, PairLabel, Recipe
 from .embed import EmbeddingTable, SgnsConfig, train_sgns
-from .ingredients import ANNOTATION_THRESHOLD, canonicalize_list, ingredients_distance
+from .ingredients import (
+    ANNOTATION_THRESHOLD,
+    canonicalize_list,
+    ingredients_distance,
+    passes_annotation_filter,
+)
 from .mover import COSINE, SearchStats, build_index, topk_query
-from .textnorm import INSTRUCTION_NORMALIZATION, normalize
+from .textnorm import fold_width
 from .tokenize import TokenSeq, WORD, char_ngrams, gram_granularity, pretokenized, word_tokens
 
 logger = logging.getLogger(__name__)
@@ -76,7 +81,6 @@ class CandidatePair:
 class ExtractionStats:
     queries_total: int = 0
     queries_skipped: list[str] = field(default_factory=list)
-    train_skipped: list[str] = field(default_factory=list)
     pairs_before_filter: int = 0
     search: SearchStats = field(default_factory=SearchStats)
 
@@ -96,14 +100,11 @@ def method_granularity(method: str, baseline_words: bool = False) -> str:
 def instruction_tokens(recipe: Recipe, granularity: str) -> TokenSeq:
     """Tokenize a recipe's instructions after width folding. Word mode
     prefers corpus-supplied token arrays; 3-gram mode always re-derives
-    from the normalized text."""
+    from the folded text."""
     if granularity == WORD and recipe.instructions_tokens is not None:
-        folded = [
-            normalize(token, INSTRUCTION_NORMALIZATION)
-            for token in recipe.instructions_tokens
-        ]
+        folded = [fold_width(token) for token in recipe.instructions_tokens]
         return pretokenized([token for token in folded if token])
-    text = normalize(recipe.instructions, INSTRUCTION_NORMALIZATION)
+    text = fold_width(recipe.instructions)
     if granularity == WORD:
         return word_tokens(text)
     if granularity == GRAM3:
@@ -225,8 +226,6 @@ def _mover_retriever(
     stats: ExtractionStats | None,
 ) -> Retriever:
     index = build_index(train_docs, table, metric)
-    if stats is not None:
-        stats.train_skipped.extend(index.skipped)
 
     def retrieve(query: TokenSeq) -> list[tuple[str, float]]:
         search_stats = stats.search if stats is not None else None
@@ -244,19 +243,6 @@ def _tfidf_retriever(
         scores = tfidf_similarities(query, index)
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
         return [(doc_id, 1.0 - similarity) for doc_id, similarity in ranked]
-
-    return retrieve
-
-
-def _measure_retriever(
-    train_docs: Sequence[tuple[str, TokenSeq]],
-    measure: Callable[[TokenSeq, TokenSeq], float],
-    k: int,
-) -> Retriever:
-    def retrieve(query: TokenSeq) -> list[tuple[str, float]]:
-        scored = [(measure(query, tokens), doc_id) for doc_id, tokens in train_docs]
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [(doc_id, value) for value, doc_id in scored[:k]]
 
     return retrieve
 
@@ -304,7 +290,6 @@ def extract_candidates(
     threshold: int = ANNOTATION_THRESHOLD,
     metric: str = COSINE,
     baseline_words: bool = False,
-    measure: Callable[[TokenSeq, TokenSeq], float] | None = None,
     stats: ExtractionStats | None = None,
 ) -> list[CandidatePair]:
     """Top-k instruction-text retrieval per test recipe, ingredients filter,
@@ -312,17 +297,14 @@ def extract_candidates(
 
     Ingredient lists are compared as (train recipe, test recipe): the train
     side plays the candidate original, the test side the candidate
-    near-duplicate. `measure` injects a raw instruction measure in place of
-    the method's retrieval (for cross-mode consistency checks).
+    near-duplicate.
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
     granularity = method_granularity(method, baseline_words=baseline_words)
     train_docs = build_instruction_docs(train, granularity)
 
-    if measure is not None:
-        retrieve = _measure_retriever(train_docs, measure, k)
-    elif method == METHOD_TFIDF:
+    if method == METHOD_TFIDF:
         retrieve = _tfidf_retriever(train_docs, k)
     else:
         if table is None:
@@ -371,7 +353,7 @@ def extract_with_retriever(
             ing_dist = ingredients_distance(
                 original.ingredients, recipe.ingredients, ingredient_table
             )
-            if ing_dist > threshold:
+            if not passes_annotation_filter(ing_dist, threshold):
                 continue
             pair = CandidatePair(
                 query_id=recipe.id,
@@ -454,12 +436,6 @@ def comparison_text(summary: dict) -> str:
     for method in methods:
         lines.append(f"only by {method}: {len(summary['only_by'][method])}")
     return "\n".join(lines) + "\n"
-
-
-def format_percent(count: int, total: int) -> str:
-    """`46, 1104` renders as `46 (4.17%)`."""
-    percent = 100.0 * count / total if total else 0.0
-    return f"{count} ({percent:.2f}%)"
 
 
 # --- candidate pair persistence ---------------------------------------------

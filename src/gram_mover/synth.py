@@ -91,6 +91,13 @@ def _template_slots(template: tuple[str, ...]) -> int:
     return 1 + max(int(token[1:]) for token in template if token.startswith("§"))
 
 
+#: ingredients a recipe takes beyond its template's slots, at most
+_EXTRA_INGREDIENTS = 2
+
+#: ingredients one recipe takes at most, so the smallest usable pool size
+MAX_INGREDIENTS = max(_template_slots(template) for template in _TEMPLATES) + _EXTRA_INGREDIENTS
+
+
 def _render(template: tuple[str, ...], ingredients: list[str], rng: np.random.Generator) -> str:
     tokens = []
     for token in template:
@@ -107,7 +114,7 @@ def _render(template: tuple[str, ...], ingredients: list[str], rng: np.random.Ge
 def _make_recipe(recipe_id: str, published: date, pool: list[str], rng: np.random.Generator) -> Recipe:
     template = _TEMPLATES[int(rng.integers(len(_TEMPLATES)))]
     slots = _template_slots(template)
-    count = slots + int(rng.integers(0, 3))
+    count = slots + int(rng.integers(0, _EXTRA_INGREDIENTS + 1))
     chosen = [pool[i] for i in rng.choice(len(pool), size=count, replace=False)]
     return Recipe(
         id=recipe_id,
@@ -174,6 +181,14 @@ def generate_corpus(
     """One corpus of `train_size` originals before the cutoff date plus
     `planted` corrupted copies and `fresh` unrelated recipes after it,
     all deterministic in the seed."""
+    for name, value, least in (
+        ("train_size", train_size, 0),
+        ("planted", planted, 0),
+        ("fresh", fresh, 0),
+        ("pool_size", pool_size, MAX_INGREDIENTS),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if planted > train_size:
         raise ValueError("cannot plant more duplicates than train recipes")
     rng = np.random.default_rng(seed)

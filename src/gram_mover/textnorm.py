@@ -1,15 +1,17 @@
-"""Deterministic text normalization for tokenization and ingredient matching.
+"""Deterministic text folds for tokenization and ingredient matching.
 
-All operations are pure, per-codepoint, and idempotent. Width folding is a
-fixed codepoint table rather than full NFKC so that composing the steps in any
-order stays idempotent (NFKC recomposition after symbol removal would not).
+Instructions are width folded (`fold_width`) before tokenization; ingredient
+names are canonicalized by `strip_parenthetical`, `strip_symbols` and
+`fold_kana`, in that order. Every fold is pure and idempotent. Width folding
+is a fixed codepoint table rather than full NFKC, and any subset of the four
+folds composed in the order parenthetical, symbols, kana, width stays
+idempotent. Width folding before symbol stripping does not: `ｶ!ﾞ` folds to
+`カ!゙`, which loses the `!` and then composes to `ガ` on a second pass.
 """
 
 from __future__ import annotations
 
-import sys
 import unicodedata
-from dataclasses import dataclass
 
 _OPEN_PARENS = "(（"
 _CLOSE_PARENS = ")）"
@@ -39,20 +41,6 @@ _WIDTH_FOLD = _build_width_fold()
 # Halfwidth voiced/semivoiced marks fold to combining marks; compose them with
 # the preceding kana so folded text contains no stray combining codepoints.
 _VOICED_COMPOSE = {"゙": True, "゚": True}
-
-
-@dataclass(frozen=True)
-class NormalizationConfig:
-    """Pure-data switch set for :func:`normalize`."""
-
-    fold_width: bool = False
-    fold_kana: bool = False
-    lowercase: bool = False
-    strip_symbols: bool = False
-
-
-#: Normalization applied to instruction text before n-gram extraction.
-INSTRUCTION_NORMALIZATION = NormalizationConfig(fold_width=True)
 
 
 def fold_width(text: str) -> str:
@@ -101,26 +89,3 @@ def strip_parenthetical(text: str) -> str:
     for pos in reversed(open_positions):  # unmatched opens: drop the char only
         del out[pos]
     return "".join(out)
-
-
-def normalize(text: str, config: NormalizationConfig) -> str:
-    """Apply the enabled folds in a fixed order: width, kana, case, symbols."""
-    if config.fold_width:
-        text = fold_width(text)
-    if config.fold_kana:
-        text = fold_kana(text)
-    if config.lowercase:
-        text = text.lower()
-    if config.strip_symbols:
-        text = strip_symbols(text)
-    return text
-
-
-def _main() -> None:  # pragma: no cover - debugging aid
-    config = NormalizationConfig(fold_width=True, fold_kana=True)
-    for line in sys.stdin:
-        sys.stdout.write(normalize(line.rstrip("\n"), config) + "\n")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _main()

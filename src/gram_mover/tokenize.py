@@ -1,17 +1,14 @@
-"""Word and character n-gram token sequences over instruction text."""
+"""Word and character n-gram token sequences over instruction text.
+
+Words come from whitespace splitting (`word_tokens`) or, for corpora
+segmented upstream, from the corpus's own token arrays (`pretokenized`).
+"""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-logger = logging.getLogger(__name__)
-
 WORD = "word"
-
-#: Pretokenized input with no separator at all is suspicious beyond this many
-#: codepoints; it is returned as a single token with a warning.
-LONGEST_TOKEN_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -48,24 +45,9 @@ def char_ngrams(text: str, n: int) -> TokenSeq:
     return TokenSeq(grams, gram_granularity(n))
 
 
-def word_tokens(text: str, segmenter: str = "whitespace", separator: str = "/") -> TokenSeq:
-    """Split ``text`` into word tokens.
-
-    segmenter "whitespace" splits on Unicode whitespace runs; "pretokenized"
-    splits on ``separator`` exactly (for corpora segmented upstream by a
-    morphological analyzer).
-    """
-    if segmenter == "whitespace":
-        return TokenSeq(tuple(text.split()), WORD)
-    if segmenter == "pretokenized":
-        if separator not in text and len(text) > LONGEST_TOKEN_BOUND:
-            logger.warning(
-                "pretokenized input of %d codepoints contains no %r separator; "
-                "returning it as a single token", len(text), separator,
-            )
-        pieces = tuple(piece for piece in text.split(separator) if piece)
-        return TokenSeq(pieces, WORD)
-    raise ValueError(f"unknown segmenter {segmenter!r}")
+def word_tokens(text: str) -> TokenSeq:
+    """Split ``text`` into word tokens on Unicode whitespace runs."""
+    return TokenSeq(tuple(text.split()), WORD)
 
 
 def pretokenized(tokens: list[str] | tuple[str, ...]) -> TokenSeq:

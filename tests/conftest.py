@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from gram_mover.embed import EmbeddingTable, Vocab
-from gram_mover.mover import COSINE, CostMatrix, GramHistogram
+from gram_mover.mover import CostMatrix, GramHistogram
 from gram_mover.tokenize import gram_granularity
 
 GRAM3 = gram_granularity(3)
@@ -33,8 +33,8 @@ def make_histogram(weights, support=None, granularity: str = GRAM3) -> GramHisto
     )
 
 
-def make_cost(values, metric: str = COSINE) -> CostMatrix:
-    return CostMatrix(values=np.asarray(values, dtype=np.float64), metric=metric)
+def make_cost(values) -> CostMatrix:
+    return CostMatrix(values=np.asarray(values, dtype=np.float64))
 
 
 def random_instance(rng: np.random.Generator, max_support: int = 4, rounded: bool = False):

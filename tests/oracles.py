@@ -5,15 +5,19 @@ enumerates basic feasible solutions outright, the optimality certificate
 checks a plan against its dual potentials, the stump oracle scans every
 candidate threshold, the gradient and Hessian checks use central
 differences, the logistic stationarity certificate sums the gradient one
-example at a time, and the noise table is built in full.
+example at a time, the noise table is built in full, and the cosine
+distance of two vectors is taken in float64 from their norms.
 None of it shares code with the package under test.
 """
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 def oracle_emd(weights_a, weights_b, cost):
@@ -218,3 +222,17 @@ def materialized_noise_table(counts, size):
     positions = (np.arange(size) + 0.5) / size
     table = np.searchsorted(cumulative, positions)
     return np.minimum(table, len(weights) - 1)
+
+
+def cosine_distance(u, v):
+    """1 - cos(u, v), in [0, 2]. A zero vector yields 1 (logged)."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        logger.warning("cosine_distance on a zero vector; returning 1.0")
+        return 1.0
+    return float(np.clip(1.0 - u.dot(v) / (nu * nv), 0.0, 2.0))

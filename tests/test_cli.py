@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import json
 import logging
-from datetime import date
+from dataclasses import fields
+from datetime import date, timedelta
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from gram_mover.cli import (
+    CliConfig,
     ConfigError,
     build_parser,
     load_index,
@@ -25,7 +28,7 @@ from gram_mover.corpus import (
     recipe_to_record,
     save_corpus,
 )
-from gram_mover.embed import load_vectors
+from gram_mover.embed import SgnsConfig, load_vectors
 from gram_mover.mover import CostMatrix, GramHistogram, SolverError, emd_exact
 from gram_mover.pipeline import CandidatePair, load_pairs, save_pairs
 from gram_mover.synth import load_truth
@@ -188,6 +191,93 @@ class TestConfigResolution:
         with pytest.raises(ConfigError) as err:
             resolve_config(parse("report", "--embedding-source", "no-such.vec"))
         assert err.value.field == "embedding_source"
+
+
+def _sgns_rejects(name, value) -> bool:
+    try:
+        SgnsConfig(**{name: value}).validated()
+    except ValueError:
+        return True
+    return False
+
+
+class TestOneDeclarationPerSetting:
+    """`CliConfig` and `SgnsConfig` declare each setting's name, type and
+    default; config-file keys, flags and coercion follow them."""
+
+    def test_every_field_is_a_config_file_key_coerced_to_its_type(self, tmp_path):
+        vectors = tmp_path / "external.vec"
+        vectors.write_text("1 1\na 0.5\n", encoding="utf-8")
+        strings = {
+            "corpus": "corpus.jsonl", "granularity": "word", "embedding_source": str(vectors),
+            "metric": "euclidean", "out": "elsewhere",
+        }
+        expected = {}
+        for f in fields(CliConfig):
+            if isinstance(f.default, bool):
+                expected[f.name] = not f.default
+            elif isinstance(f.default, int):
+                expected[f.name] = f.default + 1
+            elif isinstance(f.default, float):
+                expected[f.name] = f.default / 2
+            elif isinstance(f.default, date):
+                expected[f.name] = f.default - timedelta(days=1)
+            else:
+                expected[f.name] = strings[f.name]
+        path = tmp_path / "settings.cfg"
+        path.write_text(
+            "".join(f"{name}={value}\n" for name, value in expected.items()), encoding="utf-8"
+        )
+        config = resolve_config(parse("synth-corpus", "--config", path))
+        hints = get_type_hints(CliConfig)
+        for name, value in expected.items():
+            assert getattr(config, name) == value, name
+            assert isinstance(getattr(config, name), hints[name]), name
+
+    def test_every_sgns_field_but_seed_has_a_flag_of_its_type(self):
+        hints = get_type_hints(SgnsConfig)
+        for f in fields(SgnsConfig):
+            if f.name == "seed":
+                continue
+            value = getattr(parse("train-embeddings", f"--{f.name.replace('_', '-')}", 3), f.name)
+            assert type(value) is hints[f.name] and value == 3, f.name
+        assert CliConfig().sgns_config() == SgnsConfig()
+
+    def test_values_sgns_rejects_name_their_field(self, tmp_path):
+        path = tmp_path / "settings.cfg"
+        rejected = set()
+        for f in fields(SgnsConfig):
+            for bad in (-1, 0):
+                if not _sgns_rejects(f.name, bad):
+                    continue
+                rejected.add(f.name)
+                path.write_text(f"{f.name}={bad}\n", encoding="utf-8")
+                with pytest.raises(ConfigError) as err:
+                    resolve_config(parse("train-embeddings", "--config", path))
+                assert err.value.field == f.name
+        # every SGNS field has a bound except the seed and the subsampling threshold
+        assert rejected == {f.name for f in fields(SgnsConfig)} - {"seed", "subsample_threshold"}
+
+    @pytest.mark.parametrize(
+        "command,flag,value,field",
+        [
+            ("train-embeddings", "--min-count", 0, "min_count"),
+            ("train-embeddings", "--initial-step-size", -1, "initial_step_size"),
+            ("train-embeddings", "--final-step-size", 0, "final_step_size"),
+            ("synth-corpus", "--train-size", -1, "train_size"),
+            ("synth-corpus", "--planted", -1, "planted"),
+            ("synth-corpus", "--fresh", -3, "fresh"),
+            ("synth-corpus", "--pool-size", 4, "pool_size"),
+            ("synth-corpus", "--planted", 941, "planted"),  # more than the 940 train recipes
+        ],
+    )
+    def test_out_of_bounds_value_exits_2_naming_the_field(
+        self, tmp_path, capsys, command, flag, value, field
+    ):
+        out = tmp_path / "out"
+        assert run(command, "--out", out, flag, value) == 2
+        assert f"config error: {field}: must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreadsFlag:
@@ -633,7 +723,7 @@ class TestExtractionChecks:
 
         record = json.loads(written[0].read_text(encoding="utf-8"))
         assert "forced failure" in record["message"]
-        cost = CostMatrix(values=np.asarray(record["cost"]), metric="cosine")
+        cost = CostMatrix(values=np.asarray(record["cost"]))
         a = GramHistogram(
             support=np.arange(len(record["a"])), weights=np.asarray(record["a"]), granularity="gram3"
         )

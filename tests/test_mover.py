@@ -90,8 +90,19 @@ class TestCostMatrix:
             cost_matrix(hist, hist, table, "manhattan")
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            CostMatrix(values=np.array([[-0.1]]), metric=COSINE)
+        with pytest.raises(ValueError, match="nonnegative"):
+            CostMatrix(values=np.array([[0.2, -0.1], [0.3, 0.4]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 0), (1, 1)])
+    def test_non_finite_entries_rejected(self, bad, at):
+        values = np.array([[0.2, 0.1], [0.3, 0.4]])
+        values[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CostMatrix(values=values)
+        values[1 - at[0], at[1]] = -0.1  # a negative entry too: finiteness is checked first
+        with pytest.raises(ValueError, match="finite"):
+            CostMatrix(values=values)
 
 
 class TestEmdExact:

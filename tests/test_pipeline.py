@@ -21,7 +21,7 @@ from gram_mover.pipeline import (
     compare_methods,
     comparison_text,
     extract_candidates,
-    format_percent,
+    extract_with_retriever,
     instruction_tokens,
     load_pairs,
     method_granularity,
@@ -44,6 +44,18 @@ def _recipe(rid, instructions, ingredients=("salt",), day="2016-06-01", tokens=N
         published=datetime.date.fromisoformat(day),
         instructions_tokens=tokens,
     )
+
+
+def _measure_retriever(train, granularity, measure, k):
+    """The k train recipes with the smallest `measure(query, train tokens)`,
+    ties broken by id."""
+    docs = build_instruction_docs(train, granularity)
+
+    def retrieve(query):
+        scored = sorted((measure(query, tokens), doc_id) for doc_id, tokens in docs)
+        return [(doc_id, value) for value, doc_id in scored[:k]]
+
+    return retrieve
 
 
 def _gram_table(*texts):
@@ -214,9 +226,9 @@ class TestExtractCandidates:
         test, train, _ = _toy_split()
         outcomes = {}
         for method in ALL_METHODS:
-            pairs = extract_candidates(
-                test, train, method, measure=lambda qa, qb: 0.5, k=2
-            )
+            granularity = method_granularity(method)
+            retrieve = _measure_retriever(train, granularity, lambda qa, qb: 0.5, k=2)
+            pairs = extract_with_retriever(test, train, method, granularity, retrieve)
             outcomes[method] = {(p.query_id, p.candidate_id, p.instruction_distance) for p in pairs}
         assert len(set(map(frozenset, outcomes.values()))) == 1
 
@@ -225,10 +237,8 @@ class TestExtractCandidates:
             [_recipe("r1", "abcd"), _recipe("r2", "abcde")]
         )
         # direction-dependent measure: distance = token count of the train doc
-        pairs = extract_candidates(
-            both, both, METHOD_GRAM3_SGNS,
-            measure=lambda qa, qb: float(len(qb.tokens)), k=2,
-        )
+        retrieve = _measure_retriever(both, GRAM3, lambda qa, qb: float(len(qb.tokens)), k=2)
+        pairs = extract_with_retriever(both, both, METHOD_GRAM3_SGNS, GRAM3, retrieve)
         cross = [p for p in pairs if p.query_id != p.candidate_id]
         assert len(cross) == 1
         assert cross[0].instruction_distance == 2.0  # min(len r1 grams, len r2 grams)
@@ -325,9 +335,6 @@ class TestReports:
         pairs_b = [self._pair("q1", "c1", PairLabel.NEAR_DUPLICATE, "m2")]
         summary = compare_methods({"m1": pairs_a, "m2": pairs_b})
         assert summary["only_by"]["m1"] == [["q2", "c2"]]
-
-    def test_paper_shaped_percent(self):
-        assert format_percent(46, 1104) == "46 (4.17%)"
 
     def test_comparison_text_renders_all_methods(self):
         # a single method holds its pair exclusively, so "only by" counts it

@@ -5,6 +5,7 @@ import pytest
 from gram_mover.corpus import recipe_to_record, split_by_date
 from gram_mover.synth import (
     CUTOFF,
+    MAX_INGREDIENTS,
     PlantedPair,
     generate_corpus,
     load_truth,
@@ -77,6 +78,18 @@ class TestGenerateCorpus:
     def test_too_many_planted_rejected(self):
         with pytest.raises(ValueError):
             generate_corpus(seed=1, train_size=3, planted=4, fresh=0, pool_size=10)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("train_size", -1), ("planted", -1), ("fresh", -3), ("pool_size", MAX_INGREDIENTS - 1)],
+    )
+    def test_out_of_range_size_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            generate_corpus(**dict(SMALL, **{name: value}))
+
+    def test_smallest_pool_serves_the_largest_recipe(self):
+        corpus, _ = generate_corpus(**dict(SMALL, pool_size=MAX_INGREDIENTS))
+        assert max(len(recipe.ingredients) for recipe in corpus) == MAX_INGREDIENTS
 
 
 class TestTruthFile:

@@ -1,25 +1,35 @@
 from __future__ import annotations
 
 import itertools
+from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gram_mover.corpus import Recipe
+from gram_mover.pipeline import instruction_tokens
 from gram_mover.textnorm import (
-    INSTRUCTION_NORMALIZATION,
-    NormalizationConfig,
     fold_kana,
     fold_width,
-    normalize,
     strip_parenthetical,
     strip_symbols,
 )
+from gram_mover.tokenize import WORD
 
+#: every subset of the folds, each applied in the module's composition order
 ALL_CONFIGS = [
-    NormalizationConfig(fold_width=w, fold_kana=k, lowercase=c, strip_symbols=s)
-    for w, k, c, s in itertools.product([False, True], repeat=4)
+    tuple(fold for fold, on in zip(
+        (strip_parenthetical, strip_symbols, fold_kana, fold_width), switches
+    ) if on)
+    for switches in itertools.product([False, True], repeat=4)
 ]
+
+
+def _compose(folds, text):
+    for fold in folds:
+        text = fold(text)
+    return text
 
 
 class TestFoldWidth:
@@ -105,30 +115,24 @@ class TestStripParenthetical:
 
 
 class TestNormalize:
+    """The folds as the program composes them: width folding alone for
+    instructions, and any subset in the module's order."""
+
     def test_width_only_default_for_instructions(self):
-        assert INSTRUCTION_NORMALIZATION == NormalizationConfig(fold_width=True)
-
-    def test_composition_order(self):
-        config = NormalizationConfig(
-            fold_width=True, fold_kana=True, lowercase=True, strip_symbols=True
+        recipe = Recipe(
+            id="r", title="t", ingredients=("塩",), instructions="Ｓａｌｔ! にんじん",
+            published=date(2016, 6, 1),
         )
-        assert normalize("Ｓａｌｔ! にんじん", config) == "salt にんじん".replace(
-            "にんじん", "ニンジン"
-        )
-
-    def test_lowercase(self):
-        assert normalize("MiXeD", NormalizationConfig(lowercase=True)) == "mixed"
-
-    def test_noop_config(self):
-        assert normalize("Ｓａｌｔ!", NormalizationConfig()) == "Ｓａｌｔ!"
+        # width folded, but kana, case and symbols kept
+        assert instruction_tokens(recipe, WORD).tokens == ("Salt!", "にんじん")
 
     @pytest.mark.parametrize("config", ALL_CONFIGS)
     @given(text=st.text())
+    @example(text="ｶ!ﾞ")  # symbols stripped after width folding would compose again
     def test_idempotent_under_every_config(self, config, text):
-        once = normalize(text, config)
-        assert normalize(once, config) == once
+        once = _compose(config, text)
+        assert _compose(config, once) == once
 
     @given(st.text())
     def test_strip_symbols_never_lengthens(self, text):
-        config = NormalizationConfig(strip_symbols=True)
-        assert len(normalize(text, config)) <= len(text)
+        assert len(strip_symbols(text)) <= len(text)

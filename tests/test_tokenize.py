@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gram_mover.tokenize import (
-    LONGEST_TOKEN_BOUND,
     WORD,
     TokenSeq,
     char_ngrams,
@@ -61,19 +60,8 @@ class TestWordTokens:
     def test_empty(self):
         assert word_tokens("").tokens == ()
 
-    def test_separator_split(self):
-        seq = word_tokens("人参/を/切る", segmenter="pretokenized", separator="/")
-        assert seq.tokens == ("人参", "を", "切る")
-
     def test_granularity_is_word(self):
         assert word_tokens("a b").granularity == WORD
-
-    def test_unsegmented_long_input_warns(self, caplog):
-        text = "x" * (LONGEST_TOKEN_BOUND + 1)
-        with caplog.at_level("WARNING"):
-            seq = word_tokens(text, segmenter="pretokenized", separator="/")
-        assert seq.tokens == (text,)
-        assert any("separator" in r.message for r in caplog.records)
 
 
 class TestPretokenized:
