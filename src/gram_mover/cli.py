@@ -127,7 +127,7 @@ _FIELD_TYPES = get_type_hints(CliConfig)
 
 #: (comparison, bound) that each numeric setting must satisfy, except
 #: `typo_rate`, a probability, and `subsample_threshold`, which any value
-#: <= 0 turns off
+#: <= 0 turns off and only NaN fails
 _LOWER_BOUNDS = {
     "k": (">=", 1),
     "threshold": (">=", 0),
@@ -216,6 +216,8 @@ def _validate(config: CliConfig) -> None:
         # written as "not ..." so that NaN fails too
         if not (value > bound if comparison == ">" else value >= bound):
             raise ConfigError(name, f"must be {comparison} {bound}")
+    if np.isnan(config.subsample_threshold):
+        raise ConfigError("subsample_threshold", "must be a number, not NaN")
     if config.planted > config.train_size:
         raise ConfigError("planted", f"must be <= train_size ({config.train_size})")
     if not 0.0 <= config.typo_rate <= 1.0:

@@ -3,8 +3,10 @@
 The trainer is a plain numpy implementation: input and output vector tables,
 logistic loss against noise samples drawn from the unigram distribution raised
 to 3/4, dynamic window, frequency subsampling, and a linearly decayed step
-size. Training runs on one thread, one document at a time, and a fixed seed
-makes it bitwise reproducible.
+size. Training runs on one thread and updates the tables once per document,
+every pair of the document scored against the rows as they stood at its
+start. No step calls BLAS, so a fixed seed makes the vectors bitwise
+reproducible whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -48,15 +50,17 @@ class SgnsConfig:
     subsample_threshold: float = 1e-4  # <= 0 disables subsampling
     min_count: int = 5
     seed: int = 1
-    noise_table_size: int = 10_000_000  # resolution of the noise draws; no table is built
+    noise_table_size: int = 10_000_000  # resolution of the noise draws; no table this size is built
 
     def validated(self) -> "SgnsConfig":
         for name in ("dimension", "window", "negatives", "epochs", "min_count", "noise_table_size"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("initial_step_size", "final_step_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if np.isnan(self.subsample_threshold):
+            raise ValueError("subsample_threshold must not be NaN")
         return self
 
 
@@ -128,6 +132,29 @@ def _noise_lookup(cumulative: np.ndarray, draws: np.ndarray, size: int) -> np.nd
     return cumulative.searchsorted((draws + 0.5) / size)
 
 
+class _NoiseSampler:
+    """`_noise_lookup` with a guide: the draws fall into buckets of `width`
+    consecutive draws, at most 8 per vocab id, and the guide holds the id
+    that every draw of a bucket takes, or -1 where the bucket may span more
+    than one id. Only draws in such buckets search the distribution."""
+
+    def __init__(self, counts: np.ndarray, size: int):
+        self.cumulative = _noise_cumulative(counts)
+        self.size = size
+        self.width = -(-size // min(size, 8 * len(counts)))
+        buckets = -(-size // self.width)
+        # ids are monotone in the draw: a bucket whose first draw and the
+        # next bucket's first draw take one id takes it throughout
+        edges = _noise_lookup(self.cumulative, np.arange(buckets + 1) * self.width, size)
+        self.guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1).astype(np.int32)
+
+    def __call__(self, draws: np.ndarray) -> np.ndarray:
+        ids = self.guide[draws // self.width]
+        unresolved = ids < 0
+        ids[unresolved] = _noise_lookup(self.cumulative, draws[unresolved], self.size)
+        return ids
+
+
 def _encode_documents(documents: Sequence[TokenSeq], vocab: Vocab) -> list[np.ndarray]:
     encoded = []
     for doc in documents:
@@ -140,9 +167,11 @@ def train_sgns(documents: Sequence[TokenSeq], config: SgnsConfig) -> EmbeddingTa
     """Train input vectors with SGNS over the documents' token streams.
 
     Each epoch visits the documents in order, subsamples each one, and
-    updates the vectors one kept token at a time with a step size decayed
-    linearly over all epochs' tokens. The update order is fixed by the seed,
-    so results are bitwise reproducible.
+    updates the vectors once per document (see `_train_document`), with a
+    step size decayed linearly over all epochs' tokens. The draws and the
+    order of every sum are fixed by the seed, and no step calls BLAS, so
+    results are bitwise reproducible and do not depend on the BLAS thread
+    count.
     """
     config = config.validated()
     granularities = {doc.granularity for doc in documents if len(doc)}
@@ -160,7 +189,7 @@ def train_sgns(documents: Sequence[TokenSeq], config: SgnsConfig) -> EmbeddingTa
     size = len(vocab)
     syn0 = ((rng.random((size, config.dimension)) - 0.5) / config.dimension).astype(np.float32)
     syn1 = np.zeros((size, config.dimension), dtype=np.float32)
-    noise = _noise_cumulative(vocab.counts)
+    noise = _NoiseSampler(vocab.counts, config.noise_table_size)
 
     if config.subsample_threshold > 0:
         frequencies = vocab.counts / vocab.counts.sum()
@@ -192,44 +221,72 @@ def _train_document(
     kept: np.ndarray,
     syn0: np.ndarray,
     syn1: np.ndarray,
-    noise: np.ndarray,
+    noise: _NoiseSampler,
     config: SgnsConfig,
     rng: np.random.Generator,
     step: np.float32,
 ) -> None:
-    """One pass over a subsampled document: each kept token against its
-    dynamic window's contexts and `negatives` noise draws per context, with
-    `syn0` and `syn1` updated in place."""
+    """One update of `syn0` and `syn1` from a subsampled document.
+
+    Every (center, context) pair of the document is scored against the rows
+    as they stood at its start, so no pair sees another's update, and the
+    pairs' gradients are summed into both tables at the end.
+
+    Draw order: one span in [1, window] per kept token, then `negatives`
+    noise draws in [0, noise_table_size) per pair, the pairs in order of
+    center position and then of context position. A context lies within its
+    center's span on either side; a negative equal to its pair's context
+    takes no update. The working memory grows with the number of pairs,
+    about (negatives + 1) * dimension floats each.
+    """
     n = len(kept)
-    spans = rng.integers(1, config.window + 1, size=n)
-    for pos in range(n):
-        span = spans[pos]
-        lo = max(0, pos - span)
-        contexts = np.concatenate([kept[lo:pos], kept[pos + 1:pos + span + 1]])
-        if len(contexts) == 0:
-            continue
-        center = kept[pos]
-        draws = rng.integers(0, config.noise_table_size, size=(len(contexts), config.negatives))
-        negatives = _noise_lookup(noise, draws, config.noise_table_size)
+    window = config.window
+    spans = rng.integers(1, window + 1, size=n)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    positions = np.arange(n)[:, None] + offsets
+    within = (np.abs(offsets) <= spans[:, None]) & (positions >= 0) & (positions < n)
+    centers, slots = np.nonzero(within)
+    contexts = kept[positions[centers, slots]]
 
-        targets = np.concatenate([contexts, negatives.ravel()])
-        labels = np.zeros(len(targets), dtype=np.float32)
-        labels[: len(contexts)] = 1.0
-        # negatives that collide with their positive target are skipped
-        collisions = (negatives == contexts[:, None]).ravel()
-        if collisions.any():
-            mask = np.ones(len(targets), dtype=bool)
-            mask[len(contexts):] = ~collisions
-            targets = targets[mask]
-            labels = labels[mask]
+    draws = rng.integers(0, config.noise_table_size, size=(len(contexts), config.negatives))
+    targets = np.concatenate([contexts[:, None], noise(draws)], axis=1)
+    # negatives that collide with their pair's context take no update
+    live = targets != contexts[:, None]
+    live[:, 0] = True
 
-        v = syn0[center]
-        rows = syn1[targets]
-        raw = np.clip(rows.dot(v), -30.0, 30.0)
-        scores = 1.0 / (1.0 + np.exp(-raw))
-        gradient = (labels - scores) * step
-        np.add.at(syn1, targets, gradient[:, None] * v[None, :])
-        syn0[center] = v + gradient.dot(rows)
+    center_ids = kept[centers]
+    inputs = syn0[center_ids]
+    outputs = syn1[targets]
+    raw = np.clip(np.einsum("pjd,pd->pj", outputs, inputs), -30.0, 30.0)
+    gradient = -1.0 / (1.0 + np.exp(-raw))
+    gradient[:, 0] += 1.0
+    gradient *= step * live
+
+    input_deltas = np.einsum("pj,pjd->pd", gradient, outputs)
+    # the gathered output rows are read; their buffer takes their deltas
+    _scatter_add(syn1, targets, np.einsum("pj,pd->pjd", gradient, inputs, out=outputs))
+    _scatter_add(syn0, center_ids, input_deltas)
+
+
+#: rows of one `np.add.at` in `_scatter_add`
+_SCATTER_ROWS = 1024
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """`table[rows[i]] += values[i]` for each i in order, repeated rows summed.
+
+    `np.add.at` over single elements, `_SCATTER_ROWS` rows at a time so that
+    the index stays small; with an even number of columns, each two float32
+    columns travel as one complex64, which halves the index and adds the
+    same float32 values in the same order."""
+    lanes = np.complex64 if table.shape[1] % 2 == 0 else table.dtype
+    flat = table.view(lanes).reshape(-1)
+    width = table.shape[1] * table.itemsize // flat.itemsize
+    rows = rows.reshape(-1, 1).astype(np.intp)
+    values = values.reshape(len(rows), -1).view(lanes)
+    for start in range(0, len(rows), _SCATTER_ROWS):
+        block = slice(start, start + _SCATTER_ROWS)
+        np.add.at(flat, (rows[block] * width + np.arange(width)).ravel(), values[block].ravel())
 
 
 def nearest_neighbors(

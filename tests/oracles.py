@@ -5,7 +5,8 @@ enumerates basic feasible solutions outright, the optimality certificate
 checks a plan against its dual potentials, the stump oracle scans every
 candidate threshold, the gradient and Hessian checks use central
 differences, the logistic stationarity certificate sums the gradient one
-example at a time, the noise table is built in full, and the cosine
+example at a time, the noise table is built in full, one SGNS document
+update is summed one (center, context) pair at a time, and the cosine
 distance of two vectors is taken in float64 from their norms.
 None of it shares code with the package under test.
 """
@@ -222,6 +223,42 @@ def materialized_noise_table(counts, size):
     positions = (np.arange(size) + 0.5) / size
     table = np.searchsorted(cumulative, positions)
     return np.minimum(table, len(weights) - 1)
+
+
+def sgns_document_update(kept, spans, negatives, syn0, syn1, step):
+    """Changes (delta0, delta1) that one SGNS document update makes to the
+    input and output tables, in float64, one (center, context) pair at a time.
+
+    Pairs run in order of center position, then of context position; a
+    context lies within `spans[center position]` positions of its center on
+    either side. Row p of `negatives` holds pair p's noise ids, and those equal
+    to the pair's context are skipped. Every score reads the rows as given,
+    so no pair sees another pair's update; the updates are summed.
+    """
+    syn0 = np.asarray(syn0, dtype=np.float64)
+    syn1 = np.asarray(syn1, dtype=np.float64)
+    delta0 = np.zeros_like(syn0)
+    delta1 = np.zeros_like(syn1)
+    n = len(kept)
+    pair = 0
+    for pos in range(n):
+        span = int(spans[pos])
+        for other in range(pos - span, pos + span + 1):
+            if other == pos or not 0 <= other < n:
+                continue
+            center, context = int(kept[pos]), int(kept[other])
+            targets = [(context, 1.0)]
+            targets += [(int(noise), 0.0) for noise in negatives[pair] if noise != context]
+            pair += 1
+            for target, label in targets:
+                score = sum(float(a) * float(b) for a, b in zip(syn0[center], syn1[target]))
+                score = min(30.0, max(-30.0, score))
+                gradient = (label - 1.0 / (1.0 + math.exp(-score))) * step
+                delta1[target] += gradient * syn0[center]
+                delta0[center] += gradient * syn1[target]
+    if pair != len(negatives):
+        raise AssertionError(f"{len(negatives)} rows of negatives for {pair} pairs")
+    return delta0, delta1
 
 
 def cosine_distance(u, v):

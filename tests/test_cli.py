@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from datetime import date, timedelta
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import gram_mover
 from gram_mover.cli import (
     CliConfig,
     ConfigError,
@@ -31,7 +36,7 @@ from gram_mover.corpus import (
 from gram_mover.embed import SgnsConfig, load_vectors
 from gram_mover.mover import CostMatrix, GramHistogram, SolverError, emd_exact
 from gram_mover.pipeline import CandidatePair, load_pairs, save_pairs
-from gram_mover.synth import load_truth
+from gram_mover.synth import generate_corpus, load_truth
 from oracles import certify_optimal
 
 SMALL_SYNTH = (
@@ -258,12 +263,21 @@ class TestOneDeclarationPerSetting:
         # every SGNS field has a bound except the seed and the subsampling threshold
         assert rejected == {f.name for f in fields(SgnsConfig)} - {"seed", "subsample_threshold"}
 
+    def test_nan_subsample_threshold_is_rejected(self, tmp_path):
+        assert _sgns_rejects("subsample_threshold", float("nan"))
+        path = tmp_path / "settings.cfg"
+        path.write_text("subsample_threshold=nan\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            resolve_config(parse("train-embeddings", "--config", path))
+        assert err.value.field == "subsample_threshold"
+
     @pytest.mark.parametrize(
         "command,flag,value,field",
         [
             ("train-embeddings", "--min-count", 0, "min_count"),
             ("train-embeddings", "--initial-step-size", -1, "initial_step_size"),
             ("train-embeddings", "--final-step-size", 0, "final_step_size"),
+            ("train-embeddings", "--subsample-threshold", "nan", "subsample_threshold"),
             ("synth-corpus", "--train-size", -1, "train_size"),
             ("synth-corpus", "--planted", -1, "planted"),
             ("synth-corpus", "--fresh", -3, "fresh"),
@@ -406,6 +420,30 @@ class TestTrainEmbeddingsCommand:
         assert "dimension=50" in logged[0] and "seed=12" in logged[0]
         assert load_vectors(tmp_path / "embeddings-ingredients.vec").dimension == 50
         assert load_vectors(tmp_path / "embeddings-gram3.vec").dimension == 16
+
+    def test_vectors_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a corpus the size of a benchmark round: 200 train recipes, gram3, dimension 50
+        corpus, _ = generate_corpus(seed=100, train_size=200, planted=10, fresh=2)
+        save_corpus(corpus, tmp_path / "corpus.jsonl")
+        source = str(Path(gram_mover.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas-threads-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [
+                    sys.executable, "-m", "gram_mover", "train-embeddings",
+                    "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+                    "--granularity", "gram3", "--seed", "100", "--dimension", "50",
+                    "--window", "5", "--epochs", "4", "--min-count", "1",
+                    "--subsample-threshold", "0", "--noise-table-size", "100000",
+                ],
+                env=env, check=True, capture_output=True,
+            )
+            written.append({path.name: path.read_bytes() for path in out.glob("embeddings-*.vec")})
+        assert sorted(written[0]) == ["embeddings-gram3.vec", "embeddings-ingredients.vec"]
+        assert written[0] == written[1]
 
 
 class TestClassifyCommand:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table
@@ -12,6 +14,8 @@ from gram_mover.embed import (
     Vocab,
     _noise_cumulative,
     _noise_lookup,
+    _NoiseSampler,
+    _train_document,
     build_vocab,
     load_vectors,
     nearest_neighbors,
@@ -19,7 +23,7 @@ from gram_mover.embed import (
     train_sgns,
 )
 from gram_mover.tokenize import pretokenized
-from oracles import cosine_distance, materialized_noise_table
+from oracles import cosine_distance, materialized_noise_table, sgns_document_update
 
 
 class TestBuildVocab:
@@ -187,9 +191,11 @@ class TestNoiseLookup:
             draws = rng.integers(0, size, size=(40, 5))
             got = _noise_lookup(_noise_cumulative(counts), draws, size)
             assert np.array_equal(got, table[draws])
+            assert np.array_equal(_NoiseSampler(counts, size)(draws), table[draws])
             if size <= 1_000:
                 every = _noise_lookup(_noise_cumulative(counts), np.arange(size), size)
                 assert np.array_equal(every, table)
+                assert np.array_equal(_NoiseSampler(counts, size)(np.arange(size)), table)
 
     def test_positions_past_a_rounded_down_total_take_the_last_id(self):
         counts = np.arange(1, 11)
@@ -199,6 +205,72 @@ class TestNoiseLookup:
         draws = np.array([0, size // 2, size - 1])
         got = _noise_lookup(_noise_cumulative(counts), draws, size)
         assert got[-1] == len(counts) - 1
+
+
+@st.composite
+def _document_cases(draw):
+    """A subsampled document with the settings and tables of one update."""
+    vocab_size = draw(st.integers(2, 8))
+    kept = draw(st.lists(st.integers(0, vocab_size - 1), min_size=2, max_size=12))
+    counts = draw(st.lists(st.integers(1, 50), min_size=vocab_size, max_size=vocab_size))
+    if draw(st.booleans()):
+        # noise on 2-3 ids of a small vocab: negatives often equal their context
+        hot = draw(st.sets(st.integers(0, vocab_size - 1), min_size=2, max_size=min(3, vocab_size)))
+        counts = [count if i in hot else 0 for i, count in enumerate(counts)]
+    return dict(
+        kept=kept,
+        counts=counts,
+        window=draw(st.integers(1, 15)),  # mostly longer than the document
+        negatives=draw(st.integers(1, 4)),
+        dimension=draw(st.integers(1, 6)),
+        size=draw(st.sampled_from([1, 7, 100, 10_000])),
+        step=draw(st.floats(0.05, 0.5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestTrainDocument:
+    """One document's update against a float64 loop over its pairs that reads
+    the rows as they stood at the start of the document."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=_document_cases())
+    @example(case=dict(
+        kept=[0, 1, 0, 1, 1], counts=[5, 3, 0], window=3, negatives=4, dimension=4,
+        size=100, step=0.3, seed=7,
+    ))
+    def test_matches_the_pairwise_oracle(self, case):
+        kept = np.asarray(case["kept"], dtype=np.int32)
+        counts = np.asarray(case["counts"], dtype=np.int64)
+        config = SgnsConfig(
+            dimension=case["dimension"], window=case["window"],
+            negatives=case["negatives"], noise_table_size=case["size"],
+        )
+        tables = np.random.default_rng(case["seed"])
+        syn0 = tables.uniform(-1, 1, (len(counts), config.dimension)).astype(np.float32)
+        syn1 = tables.uniform(-1, 1, (len(counts), config.dimension)).astype(np.float32)
+        rng = np.random.default_rng(case["seed"])
+        replay = copy.deepcopy(rng)
+        step = np.float32(case["step"])
+
+        got0, got1 = syn0.copy(), syn1.copy()
+        _train_document(
+            kept, got0, got1, _NoiseSampler(counts, config.noise_table_size), config, rng, step
+        )
+
+        # the documented draw order: spans first, then negatives in pair order
+        n = len(kept)
+        spans = replay.integers(1, config.window + 1, size=n)
+        pairs = sum(min(pos + span, n - 1) - max(pos - span, 0) for pos, span in enumerate(spans))
+        draws = replay.integers(0, config.noise_table_size, size=(pairs, config.negatives))
+        assert replay.bit_generator.state == rng.bit_generator.state
+        negatives = materialized_noise_table(counts, config.noise_table_size)[draws]
+
+        want0, want1 = sgns_document_update(kept, spans, negatives, syn0, syn1, float(step))
+        for got, before, want in ((got0, syn0, want0), (got1, syn1, want1)):
+            # float32 sums of hundreds of terms, against float64
+            tolerance = 2e-5 * (1.0 + np.abs(want).max())
+            np.testing.assert_allclose(got - before.astype(np.float64), want, rtol=0, atol=tolerance)
 
 
 class TestTrainSgns:
