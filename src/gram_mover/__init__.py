@@ -35,7 +35,6 @@ from .mover import (
     emd_exact,
     mover_distance,
     nbow,
-    plan_to_tsv,
     rwmd,
     topk_query,
     wcd,
@@ -76,7 +75,6 @@ from .pipeline import (
     instruction_tokens,
     load_pairs,
     save_pairs,
-    tfidf_cosine,
     train_ingredient_table,
 )
 from .synth import PlantedPair, generate_corpus, load_truth, save_truth, synthetic_classification_pool

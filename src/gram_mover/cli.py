@@ -374,7 +374,7 @@ def load_index(path: Path) -> tuple[MoverIndex, str, str]:
     try:
         table = EmbeddingTable(vocab=vocab, vectors=arrays["vectors"])
         entries = [
-            PreparedDoc(doc_id, GramHistogram(supports[lo:hi], weights[lo:hi], granularity))
+            PreparedDoc(doc_id, GramHistogram(supports[lo:hi], weights[lo:hi]))
             for doc_id, lo, hi in bounds
         ]
     except ValueError as error:  # a fault the histogram or the table rejects
@@ -411,26 +411,24 @@ def _cmd_train_embeddings(config: CliConfig, args: argparse.Namespace) -> int:
     out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
 
+    # both tables are trained before either is written, so a failure leaves
+    # no vectors behind for the later stages to pick up
     docs = [tokens for _, tokens in build_instruction_docs(train, config.granularity)]
     table = train_sgns(docs, config.sgns_config())
+    ingredient_seed = config.seed + 1
+    ingredient_settings = asdict(ingredient_sgns_config(ingredient_seed))
+    logger.info(
+        "ingredient embeddings use fixed settings, not the SGNS flags: %s",
+        " ".join(f"{name}={value}" for name, value in ingredient_settings.items()),
+    )
+    ingredient_table = train_ingredient_table(train, seed=ingredient_seed)
+
     path = _vectors_path(out, config.granularity)
     _atomic_write(path, lambda tmp: save_vectors(table, tmp))
     logger.info("wrote %d instruction vectors to %s", len(table.vocab.tokens), path)
-
-    ingredient_config = ingredient_sgns_config(seed=config.seed + 1)
-    logger.info(
-        "ingredient embeddings use fixed settings, not the SGNS flags: %s",
-        " ".join(f"{name}={value}" for name, value in asdict(ingredient_config).items()),
-    )
-    ingredient_table = train_ingredient_table(train, ingredient_config)
-    if ingredient_table is not None:
-        ing_path = _ingredient_vectors_path(out)
-        _atomic_write(ing_path, lambda tmp: save_vectors(ingredient_table, tmp))
-        logger.info(
-            "wrote %d ingredient vectors to %s", len(ingredient_table.vocab.tokens), ing_path
-        )
-    else:
-        logger.warning("ingredient embedding skipped (degenerate ingredient lists)")
+    ing_path = _ingredient_vectors_path(out)
+    _atomic_write(ing_path, lambda tmp: save_vectors(ingredient_table, tmp))
+    logger.info("wrote %d ingredient vectors to %s", len(ingredient_table.vocab.tokens), ing_path)
     return 0
 
 
@@ -442,11 +440,8 @@ def _load_instruction_table(config: CliConfig, out: Path) -> EmbeddingTable:
     return load_vectors(path)
 
 
-def _load_ingredient_table(out: Path) -> EmbeddingTable | None:
-    path = _ingredient_vectors_path(out)
-    if not path.is_file():
-        return None
-    return load_vectors(path)
+def _load_ingredient_table(out: Path) -> EmbeddingTable:
+    return load_vectors(_require_artifact(_ingredient_vectors_path(out), "train-embeddings"))
 
 
 def _cmd_build_index(config: CliConfig, args: argparse.Namespace) -> int:
@@ -479,8 +474,6 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
                 f"not {getattr(config, name)}; rerun build-index",
             )
     ingredient_table = _load_ingredient_table(out)
-    if ingredient_table is None:
-        raise MissingArtifact(_ingredient_vectors_path(out), "train-embeddings")
 
     stats = ExtractionStats()
 
@@ -519,8 +512,6 @@ def _cmd_baseline(config: CliConfig, args: argparse.Namespace) -> int:
     out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     ingredient_table = _load_ingredient_table(out)
-    if ingredient_table is None:
-        raise MissingArtifact(_ingredient_vectors_path(out), "train-embeddings")
     stats = ExtractionStats()
     pairs = extract_candidates(
         test,

@@ -1,12 +1,14 @@
 """Mover's distance between token histograms over an embedding ground space.
 
 The exact solver is a primal network simplex on the bipartite transportation
-graph. It starts from a greedy matrix-minimum basis, keeps the spanning tree
-in plain lists (parent, flow to parent, depth, children) and the row and
-column potentials in numpy vectors, and prices by the most negative reduced
-cost over the full cost matrix. After a long run of degenerate pivots it
-switches to Bland's rule (entering arc = first negative reduced cost in
-row-major order; leaving arc = smallest-index minimizer), so it cannot cycle.
+graph. It starts from a greedy matrix-minimum basis that is a spanning tree
+as taken: every line (row or column) but one hangs from the arc that retired
+it, and the line left open is the root. It keeps the tree in plain lists
+(parent, flow to parent, depth, children) and the row and column potentials
+in numpy vectors, and prices by the most negative reduced cost over the full
+cost matrix. After a long run of degenerate pivots it switches to Bland's
+rule (entering arc = first negative reduced cost in row-major order; leaving
+arc = smallest-index minimizer), so it cannot cycle.
 The plan carries the final potentials, from which optimality can be checked
 independently.
 
@@ -79,7 +81,6 @@ class GramHistogram:
 
     support: np.ndarray  # unique sorted token indices
     weights: np.ndarray  # strictly positive, sums to 1
-    granularity: str
 
     def __post_init__(self):
         if len(self.support) == 0:
@@ -124,7 +125,7 @@ def nbow(tokens: TokenSeq, table: EmbeddingTable) -> GramHistogram:
         raise ValueError("document has no embeddable tokens")
     support, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
     weights = counts.astype(np.float64) / len(ids)
-    return GramHistogram(support=support, weights=weights, granularity=tokens.granularity)
+    return GramHistogram(support=support, weights=weights)
 
 
 def _ground_rows(vectors: np.ndarray, metric: str) -> np.ndarray:
@@ -204,17 +205,25 @@ def emd_exact(
     )
 
 
-def _greedy_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[tuple[int, int, float]]:
-    """Matrix-minimum starting basis: m + n - 1 arcs forming a spanning tree.
+def _start_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """The greedy matrix-minimum basis as a rooted spanning tree: lists
+    `parent` (-1 at the root), `flow_up` (flow on the arc to the parent),
+    `depth` and `children` over node ids (rows 0..m-1, columns m..m+n-1),
+    and the node potentials, 0 at the root and tight on every tree arc.
 
     Arcs are visited in stable cost order; an arc whose row and column are
     both still open takes min(remaining supply, remaining demand) and retires
-    exactly one of the two (the row when it is exhausted, else the column).
-    Every component of the chosen arcs then holds at most one open line, so
-    no arc closes a cycle. Lines left open with (numerically) nothing to ship
-    are joined by zero-flow arcs in the same order, through union-find.
+    exactly one of the two: the row when it is exhausted, else the column,
+    except that the last open row or the last open column is never retired
+    (the other line of the arc is). Lines never reopen, so every arc visited
+    while both its lines are open is taken, and the scan ends after m + n - 1
+    arcs with one line open: the root. Every other line hangs from the arc
+    that retired it, under that arc's other line, which retires later or is
+    the root; so in reverse order of taking, every parent is placed before
+    its children.
     """
     m, n = cost.shape
+    size = m + n
     order = np.argsort(cost, axis=None, kind="stable")
     rows = (order // n).tolist()
     cols = (order % n).tolist()
@@ -229,36 +238,31 @@ def _greedy_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[tuple[
             moved = min(supply[i], demand[j])
             supply[i] -= moved
             demand[j] -= moved
-            arcs.append((i, j, moved))
-            if supply[i] <= demand[j]:
+            row_retired = open_rows > 1 and (open_cols == 1 or supply[i] <= demand[j])
+            arcs.append((i, j, moved, row_retired))
+            if len(arcs) == size - 1:
+                break
+            if row_retired:
                 row_open[i] = False
                 open_rows -= 1
             else:
                 col_open[j] = False
                 open_cols -= 1
-            if not open_rows or not open_cols:
-                break
-    if len(arcs) == m + n - 1:
-        return arcs
 
-    root = list(range(m + n))
-
-    def find(node):
-        while root[node] != node:
-            root[node] = root[root[node]]
-            node = root[node]
-        return node
-
-    for i, j, _ in arcs:
-        root[find(i)] = find(m + j)
-    for i, j in zip(rows, cols):
-        ri, rj = find(i), find(m + j)
-        if ri != rj:
-            root[ri] = rj
-            arcs.append((i, j, 0.0))
-            if len(arcs) == m + n - 1:
-                break
-    return arcs
+    parent = [-1] * size
+    flow_up = [0.0] * size
+    depth = [0] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    potential = np.zeros(size, dtype=np.float64)
+    potential_items = memoryview(potential)  # element access without numpy scalars
+    for i, j, moved, row_retired in reversed(arcs):
+        node, up = (i, m + j) if row_retired else (m + j, i)
+        parent[node] = up
+        flow_up[node] = moved
+        depth[node] = depth[up] + 1
+        children[up].append(node)
+        potential_items[node] = cost[i, j] - potential_items[up]
+    return parent, flow_up, depth, children, potential
 
 
 def _reduction_bound(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
@@ -291,13 +295,16 @@ def _network_simplex(
     basis (u_i + v_j = cost_ij on its arcs, cost - u - v >= -1e-12 on all)
     and the number of pivots taken.
 
-    - Start: the greedy matrix-minimum basis of `_greedy_basis`, so a
+    - Start: the greedy matrix-minimum tree of `_start_tree`, so a
       self-distance starts at its optimum (the cost-0 diagonal comes first).
+      One pass over its arcs, last taken first, sets every parent, flow,
+      depth and potential.
     - Tree: node ids 0..m-1 are rows, m..m+n-1 columns; the spanning tree is
-      rooted at node 0 and kept in plain lists (parent, flow on the arc to
-      the parent, depth, children). A pivot re-hangs the subtree cut off by
-      the leaving arc under the entering arc and shifts that subtree's
-      potentials by the entering arc's reduced cost.
+      rooted at the line the greedy leaves open, whose potential is 0, and
+      kept in plain lists (parent, flow on the arc to the parent, depth,
+      children). A pivot re-hangs the subtree cut off by the leaving arc
+      under the entering arc and shifts that subtree's potentials by the
+      entering arc's reduced cost; the root never moves.
     - Pricing: most negative reduced cost over the full matrix.
     - Anti-cycling: after more than m + n consecutive degenerate pivots the
       entering arc becomes the first negative one in row-major order (Bland),
@@ -315,32 +322,10 @@ def _network_simplex(
     if bounded and _reduction_bound(a, b, cost) > cutoff:
         raise _StoppedEarly(0)
 
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(size)]
-    for i, j, moved in _greedy_basis(a, b, cost):
-        adjacency[i].append((m + j, moved))
-        adjacency[m + j].append((i, moved))
-
-    parent = [-1] * size
-    flow_up = [0.0] * size  # flow on the arc to the parent
-    depth = [0] * size
-    children: list[list[int]] = [[] for _ in range(size)]
-    potential = np.zeros(size, dtype=np.float64)  # indexed by node id
+    parent, flow_up, depth, children, potential = _start_tree(a, b, cost)
     u, v = potential[:m], potential[m:]  # views: row and column potentials
     potential_items = memoryview(potential)  # element access without numpy scalars
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for neighbor, moved in adjacency[node]:
-            if neighbor != parent[node]:
-                parent[neighbor] = node
-                flow_up[neighbor] = moved
-                depth[neighbor] = depth[node] + 1
-                children[node].append(neighbor)
-                if neighbor < m:
-                    potential_items[neighbor] = cost[neighbor, node - m] - potential_items[node]
-                else:
-                    potential_items[neighbor] = cost[node, neighbor - m] - potential_items[node]
-                stack.append(neighbor)
+    root = parent.index(-1)  # pivots never move the root
 
     pivot_cap = 50 * size * size
     stall = 0  # consecutive degenerate pivots; long stalls engage Bland's rule
@@ -370,9 +355,10 @@ def _network_simplex(
         raise SolverError(f"no convergence within {pivot_cap} pivots")
 
     flow = np.zeros((m, n), dtype=np.float64)
-    rows = [node if node < m else parent[node] for node in range(1, size)]
-    cols = [parent[node] - m if node < m else node - m for node in range(1, size)]
-    flow[rows, cols] = flow_up[1:]
+    tree = [node for node in range(size) if node != root]
+    rows = [node if node < m else parent[node] for node in tree]
+    cols = [parent[node] - m if node < m else node - m for node in tree]
+    flow[rows, cols] = [flow_up[node] for node in tree]
     return flow, u, v, pivots
 
 
@@ -642,18 +628,3 @@ def _solve(
 def _ranked(evaluated: list[tuple[float, str]], k: int) -> list[tuple[str, float]]:
     evaluated.sort(key=lambda item: (item[0], item[1]))
     return [(doc_id, distance) for distance, doc_id in evaluated[:k]]
-
-
-def plan_to_tsv(plan: TransportPlan, cost: CostMatrix) -> str:
-    """Tab-separated `i, j, flow, cost` rows for nonzero flows, plus a trailer
-    line with the total transported cost."""
-    lines = []
-    total = 0.0
-    rows, cols = np.nonzero(plan.flow)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        flow = plan.flow[i, j]
-        unit_cost = cost.values[i, j]
-        total += flow * unit_cost
-        lines.append(f"{i}\t{j}\t{flow:.12g}\t{unit_cost:.12g}")
-    lines.append(f"total\t\t\t{total:.12g}")
-    return "\n".join(lines) + "\n"

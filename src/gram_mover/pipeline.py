@@ -183,17 +183,6 @@ def _weighted(tokens: TokenSeq, index: TfidfIndex) -> tuple[dict[str, float], fl
     return weights, float(np.sqrt(sq_sum))
 
 
-def tfidf_cosine(a: TokenSeq, b: TokenSeq, index: TfidfIndex) -> float:
-    """Cosine of the two documents' tf-idf vectors under the index's
-    document frequencies; 0 when either vector empties out."""
-    weights_a, norm_a = _weighted(a, index)
-    weights_b, norm_b = _weighted(b, index)
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    dot = sum(weight * weights_b.get(token, 0.0) for token, weight in weights_a.items())
-    return min(1.0, max(0.0, dot / (norm_a * norm_b)))
-
-
 def tfidf_similarities(query: TokenSeq, index: TfidfIndex) -> dict[str, float]:
     """Cosine similarity of the query against every indexed document,
     accumulated over postings; documents sharing no token score 0."""
@@ -259,25 +248,20 @@ def ingredient_sgns_config(seed: int = 2) -> SgnsConfig:
     )
 
 
-def train_ingredient_table(
-    recipes: Iterable[Recipe], config: SgnsConfig | None = None, seed: int = 2
-) -> EmbeddingTable | None:
+def train_ingredient_table(recipes: Iterable[Recipe], seed: int = 2) -> EmbeddingTable:
     """Word-granularity embedding over ingredient lists, one document per
     recipe with each canonical ingredient name as a single token, trained
-    with `config` or else `ingredient_sgns_config(seed)`. Returns None when
-    the lists are too degenerate to train on."""
+    with `ingredient_sgns_config(seed)`. Raises ValueError when the lists
+    are too degenerate to train on."""
     documents = []
     for recipe in recipes:
         names = canonicalize_list(recipe.ingredients)
         if names:
             documents.append(pretokenized(names))
-    if config is None:
-        config = ingredient_sgns_config(seed)
     try:
-        return train_sgns(documents, config)
+        return train_sgns(documents, ingredient_sgns_config(seed))
     except ValueError as error:
-        logger.warning("ingredient embedding not trained: %s", error)
-        return None
+        raise ValueError(f"ingredient lists too degenerate to train on: {error}") from None
 
 
 def extract_candidates(

@@ -21,16 +21,12 @@ def make_table(entries: dict[str, list[float]]) -> EmbeddingTable:
     return EmbeddingTable(vocab=vocab, vectors=vectors)
 
 
-def make_histogram(weights, support=None, granularity: str = GRAM3) -> GramHistogram:
+def make_histogram(weights, support=None) -> GramHistogram:
     weights = np.asarray(weights, dtype=np.float64)
     weights = weights / weights.sum()
     if support is None:
         support = np.arange(len(weights))
-    return GramHistogram(
-        support=np.asarray(support, dtype=np.int64),
-        weights=weights,
-        granularity=granularity,
-    )
+    return GramHistogram(support=np.asarray(support, dtype=np.int64), weights=weights)
 
 
 def make_cost(values) -> CostMatrix:

@@ -6,8 +6,9 @@ checks a plan against its dual potentials, the stump oracle scans every
 candidate threshold, the gradient and Hessian checks use central
 differences, the logistic stationarity certificate sums the gradient one
 example at a time, the noise table is built in full, one SGNS document
-update is summed one (center, context) pair at a time, and the cosine
-distance of two vectors is taken in float64 from their norms.
+update is summed one (center, context) pair at a time, the cosine
+distance of two vectors is taken in float64 from their norms, and the tf-idf
+cosine of two documents is built from dense per-document weight dicts.
 None of it shares code with the package under test.
 """
 from __future__ import annotations
@@ -273,3 +274,27 @@ def cosine_distance(u, v):
         logger.warning("cosine_distance on a zero vector; returning 1.0")
         return 1.0
     return float(np.clip(1.0 - u.dot(v) / (nu * nv), 0.0, 2.0))
+
+
+def tfidf_cosine(tokens_a, tokens_b, index):
+    """Cosine of two token sequences' tf·ln(N/df) vectors under the
+    document frequencies of a tf-idf index, clamped to [0, 1]; 0 when either
+    vector is zero. Tokens the index never saw weigh nothing."""
+
+    def vector(tokens):
+        counts = {}
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        return {
+            token: tf * math.log(index.n_docs / index.df[token])
+            for token, tf in counts.items()
+            if index.df.get(token, 0) > 0
+        }
+
+    vector_a, vector_b = vector(tokens_a), vector(tokens_b)
+    norm_a = math.sqrt(sum(w * w for w in vector_a.values()))
+    norm_b = math.sqrt(sum(w * w for w in vector_b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    dot = sum(w * vector_b.get(token, 0.0) for token, w in vector_a.items())
+    return min(1.0, max(0.0, dot / (norm_a * norm_b)))

@@ -421,6 +421,25 @@ class TestTrainEmbeddingsCommand:
         assert load_vectors(tmp_path / "embeddings-ingredients.vec").dimension == 50
         assert load_vectors(tmp_path / "embeddings-gram3.vec").dimension == 16
 
+    def test_degenerate_ingredient_lists_fail_here(self, tmp_path, capsys):
+        # every recipe lists one ingredient: no ingredient document has a context
+        recipes = [
+            Recipe(
+                id=f"train-{i:04d}",
+                title="salted",
+                ingredients=("塩",),
+                instructions=f"塩を{i}回振って焼く",
+                published=date(2016, 7, 1 + i),
+            )
+            for i in range(8)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(Corpus.from_recipes(recipes), corpus)
+        assert run("train-embeddings", "--corpus", corpus, "--out", tmp_path, *SMALL_SGNS) == 1
+        err = capsys.readouterr().err
+        assert "error: ingredient lists" in err
+        assert not list(tmp_path.glob("*.vec"))  # neither table is written
+
     def test_vectors_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # a corpus the size of a benchmark round: 200 train recipes, gram3, dimension 50
         corpus, _ = generate_corpus(seed=100, train_size=200, planted=10, fresh=2)
@@ -762,11 +781,7 @@ class TestExtractionChecks:
         record = json.loads(written[0].read_text(encoding="utf-8"))
         assert "forced failure" in record["message"]
         cost = CostMatrix(values=np.asarray(record["cost"]))
-        a = GramHistogram(
-            support=np.arange(len(record["a"])), weights=np.asarray(record["a"]), granularity="gram3"
-        )
-        b = GramHistogram(
-            support=np.arange(len(record["b"])), weights=np.asarray(record["b"]), granularity="gram3"
-        )
+        a = GramHistogram(support=np.arange(len(record["a"])), weights=np.asarray(record["a"]))
+        b = GramHistogram(support=np.arange(len(record["b"])), weights=np.asarray(record["b"]))
         _, plan = emd_exact(a, b, cost)
         certify_optimal(a.weights, b.weights, cost.values, plan, tol=1e-9)

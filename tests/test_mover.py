@@ -27,7 +27,6 @@ from gram_mover.mover import (
     emd_exact,
     mover_distance,
     nbow,
-    plan_to_tsv,
     rwmd,
     topk_query,
     wcd,
@@ -60,7 +59,6 @@ class TestNbow:
     def test_support_sorted_unique(self):
         hist = nbow(_tokens("bcd", "abc", "bcd"), self.TABLE)
         assert hist.support.tolist() == [0, 1]
-        assert hist.granularity == GRAM3
 
 
 class TestCostMatrix:
@@ -296,6 +294,64 @@ class TestCutoff:
         assert caught.value.pivots == 0
         distance, _ = emd_exact(a, a, cost, cutoff=0.35)
         assert distance == pytest.approx(0.35, abs=1e-15)
+
+
+def _start_instance(rng, kind):
+    """An instance whose greedy start is checked: `_instance_up_to_45`'s, a
+    self-distance with a zero diagonal, or one of 1×n and m×1."""
+    if kind == "any":
+        return _instance_up_to_45(rng)
+    size = int(rng.integers(1, 46))
+    if kind == "self":
+        hist = make_histogram(np.ones(size) if rng.integers(2) else rng.dirichlet(np.ones(size)))
+        values = rng.random((size, size))
+        np.fill_diagonal(values, 0.0)
+        return hist, hist, make_cost(values)
+    a = make_histogram([1.0])
+    b = make_histogram(np.ones(size) if rng.integers(2) else rng.dirichlet(np.ones(size)))
+    values = np.round(rng.random((1, size)), 1)
+    if kind == "column":
+        return b, a, make_cost(values.T)
+    return a, b, make_cost(values)
+
+
+class TestStartTree:
+    """The greedy start is a spanning tree rooted at the one line it leaves
+    open, with a feasible flow and potentials tight on its arcs."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=seeds, kind=st.sampled_from(["any", "self", "row", "column"]))
+    def test_spanning_tree_with_feasible_flow_and_tight_potentials(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        a, b, cost = _start_instance(rng, kind)
+        values = cost.values
+        m, n = values.shape
+        parent, flow_up, depth, children, potential = mover._start_tree(a.weights, b.weights, values)
+
+        assert parent.count(-1) == 1  # every line but the root has a parent: m + n - 1 arcs
+        root = parent.index(-1)
+        tree = [node for node in range(m + n) if node != root]
+        for node in tree:
+            assert (node < m) != (parent[node] < m)  # arcs join a row and a column
+            assert depth[node] == depth[parent[node]] + 1
+            assert children[parent[node]].count(node) == 1
+            up, steps = node, 0
+            while up != root:
+                up, steps = parent[up], steps + 1
+                assert steps <= m + n
+        assert depth[root] == 0 and potential[root] == 0.0
+        assert sum(len(c) for c in children) == m + n - 1
+
+        flow = np.zeros((m, n))
+        for node in tree:
+            i, j = (node, parent[node] - m) if node < m else (parent[node], node - m)
+            flow[i, j] = flow_up[node]
+            assert values[i, j] - potential[i] - potential[m + j] == pytest.approx(0.0, abs=1e-12)
+        assert np.all(flow >= 0)
+        np.testing.assert_allclose(flow.sum(axis=1), a.weights, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(flow.sum(axis=0), b.weights, rtol=0, atol=1e-9)
+        if kind == "self":  # the cost-0 diagonal comes first: the start is optimal
+            assert float((flow * values).sum()) == 0.0
 
 
 class TestLowerBounds:
@@ -594,22 +650,6 @@ class TestBuildIndex:
         table = make_table({"aa": [1, 0]})
         with pytest.raises(ValueError, match="metric"):
             build_index([("good", _tokens("aa"))], table, "manhattan")
-
-
-class TestPlanToTsv:
-    def test_format_and_trailer(self):
-        a = make_histogram([0.5, 0.5])
-        b = make_histogram([0.5, 0.5])
-        cost = make_cost([[0.1, 0.9], [0.8, 0.2]])
-        distance, plan = emd_exact(a, b, cost)
-        dump = plan_to_tsv(plan, cost)
-        lines = dump.strip().split("\n")
-        assert lines[-1].startswith("total\t\t\t")
-        assert float(lines[-1].split("\t")[-1]) == pytest.approx(distance)
-        for line in lines[:-1]:
-            i, j, flow, unit = line.split("\t")
-            assert float(flow) > 0
-            assert cost.values[int(i), int(j)] == pytest.approx(float(unit))
 
 
 class TestSolverError:

@@ -28,11 +28,11 @@ from gram_mover.pipeline import (
     parse_pair_record,
     pair_to_record,
     save_pairs,
-    tfidf_cosine,
     tfidf_similarities,
     train_ingredient_table,
 )
 from gram_mover.tokenize import WORD, pretokenized
+from oracles import tfidf_cosine
 
 
 def _recipe(rid, instructions, ingredients=("salt",), day="2016-06-01", tokens=None):
@@ -112,11 +112,11 @@ class TestTfidf:
 
     def test_identical_documents(self):
         index = build_tfidf_index(self.DOCS)
-        assert tfidf_cosine(self.DOCS[0][1], self.DOCS[0][1], index) == pytest.approx(1.0)
+        assert tfidf_similarities(self.DOCS[0][1], index)["d1"] == pytest.approx(1.0)
 
     def test_disjoint_documents(self):
         index = build_tfidf_index(self.DOCS)
-        assert tfidf_cosine(self.DOCS[0][1], pretokenized(["c", "d"]), index) == 0.0
+        assert tfidf_similarities(pretokenized(["c", "d"]), index)["d1"] == 0.0
 
     def test_hand_computed_shared_token(self):
         # d1=[a,b], d2=[b,c]: only b overlaps; df(a)=1, df(b)=df(c)=2, so
@@ -125,13 +125,13 @@ class TestTfidf:
         index = build_tfidf_index(self.DOCS)
         strong, weak = math.log(3.0), math.log(1.5)
         expected = weak / (math.sqrt(2.0) * math.sqrt(strong**2 + weak**2))
-        got = tfidf_cosine(self.DOCS[0][1], self.DOCS[1][1], index)
+        got = tfidf_similarities(self.DOCS[0][1], index)["d2"]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_token_in_every_doc_weighs_nothing(self):
         docs = [("d1", pretokenized(["x", "a"])), ("d2", pretokenized(["x", "b"]))]
         index = build_tfidf_index(docs)
-        assert tfidf_cosine(docs[0][1], docs[1][1], index) == 0.0
+        assert tfidf_similarities(docs[0][1], index)["d2"] == 0.0
 
     def test_similarities_match_pairwise_cosine(self):
         index = build_tfidf_index(self.DOCS)
@@ -293,14 +293,13 @@ class TestTrainIngredientTable:
             for i in range(30)
         ]
         table = train_ingredient_table(recipes)
-        assert table is not None
         assert "ニンジン" in table
         assert "塩" in table
 
-    def test_degenerate_lists_return_none(self, caplog):
+    def test_degenerate_lists_raise(self):
         recipes = [_recipe("r1", "abcd", ingredients=("塩",))]
-        with caplog.at_level("WARNING"):
-            assert train_ingredient_table(recipes) is None
+        with pytest.raises(ValueError, match="ingredient lists too degenerate"):
+            train_ingredient_table(recipes)
 
 
 class TestReports:

@@ -32,3 +32,14 @@ def test_planted_experiment_runs_every_method(tmp_path, capsys):
     assert all(0.0 <= row["recall"] <= 1.0 for row in rows)
     assert rows[0]["exact_evaluations"] > 0
     assert "gram3-sgns" in capsys.readouterr().out
+
+
+def test_classifier_study_runs_both_model_kinds(tmp_path, capsys):
+    script = _load("run_classifier_study")
+    out = tmp_path / "result.json"
+    assert script.main(["--positives", "6", "--negatives", "30", "--json", str(out)]) == 0
+    models = json.loads(out.read_text(encoding="utf-8"))["models"]
+    assert sorted(models) == ["logistic-regression", "random-forest"]
+    assert all(0.0 <= model["f1"] <= 1.0 for model in models.values())
+    printed = capsys.readouterr().out
+    assert "logistic-regression" in printed and "random-forest" in printed
