@@ -153,14 +153,9 @@ def logistic_hessian(
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    regularization: float
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     converged: bool
-
-    @property
-    def kind(self) -> str:
-        return LOGISTIC
 
     def _standardize(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_scale
@@ -218,7 +213,6 @@ def train_logreg(examples: Sequence[LabeledExample], regularization: float = 1.0
     return LogisticModel(
         weights=params[:-1],
         bias=float(params[-1]),
-        regularization=regularization,
         feature_mean=mean,
         feature_scale=scale,
         converged=converged,
@@ -324,13 +318,6 @@ def _tree_predict(node: _Node, features: np.ndarray, depth: int | None = None) -
 @dataclass
 class ForestModel:
     trees: list[_Node]
-    max_depth: int
-    seed: int
-    bootstrap: bool
-
-    @property
-    def kind(self) -> str:
-        return FOREST
 
     def tree_votes(self, features: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Per-tree boolean votes, shape (trees, examples), in training
@@ -351,14 +338,12 @@ def train_random_forest(
     trees: int = 100,
     max_depth: int = 8,
     seed: int = 1,
-    bootstrap: bool = True,
 ) -> ForestModel:
     """Bootstrap-sampled Gini trees with deterministic splits; only the
     bootstrap draw consumes randomness, and it does not depend on the depth.
     So with a fixed seed the first t trees of a larger forest equal the
     t-tree forest, and a deeper forest cut at depth d (`tree_votes(...,
-    depth=d)`) equals the depth-d forest. `bootstrap=False` trains every
-    tree on the full sample (for oracle comparisons)."""
+    depth=d)`) equals the depth-d forest."""
     if trees < 1:
         raise ValueError("trees must be >= 1")
     if max_depth < 1:
@@ -367,12 +352,9 @@ def train_random_forest(
     rng = np.random.default_rng(seed)
     grown = []
     for _ in range(trees):
-        if bootstrap:
-            idx = rng.integers(0, len(y), size=len(y))
-            grown.append(_build_tree(x[idx], y[idx], max_depth))
-        else:
-            grown.append(_build_tree(x, y, max_depth))
-    return ForestModel(trees=grown, max_depth=max_depth, seed=seed, bootstrap=bootstrap)
+        idx = rng.integers(0, len(y), size=len(y))
+        grown.append(_build_tree(x[idx], y[idx], max_depth))
+    return ForestModel(trees=grown)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -406,7 +388,6 @@ class GridPointResult(NamedTuple):
 
 @dataclass
 class GridSearchResult:
-    kind: str
     best_params: dict
     best_metrics: Metrics
     results: list[GridPointResult] = field(default_factory=list)
@@ -486,7 +467,6 @@ def loocv_grid_search(
     ]
     best = max(range(len(grid)), key=lambda g: (results[g].metrics.f1, -g))
     return GridSearchResult(
-        kind=kind,
         best_params=results[best].params,
         best_metrics=results[best].metrics,
         results=results,

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
@@ -466,19 +467,30 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     index_path = _require_artifact(_index_path(out, config.granularity), "build-index")
     index, granularity, method = load_index(index_path)
-    for name, built in (("metric", index.metric), ("granularity", granularity)):
-        if built != getattr(config, name):
+    for name, built, configured in (
+        ("metric", index.metric, config.metric),
+        ("granularity", granularity, config.granularity),
+        ("embedding_source", method, config.method()),
+    ):
+        if built != configured:
             raise ConfigError(
                 name,
-                f"{index_path} was built with {name} {built}, "
-                f"not {getattr(config, name)}; rerun build-index",
+                f"{index_path} was built for {built}, not {configured}; rerun build-index",
             )
+    indexed = Counter(entry.doc_id for entry in index.entries)
+    indexed.update(index.skipped)
+    if indexed != Counter(recipe.id for recipe in train):
+        raise ConfigError(
+            "corpus",
+            f"{index_path} was built from another train split than the "
+            f"{len(train)} recipes published by {config.cutoff}; rerun build-index",
+        )
     ingredient_table = _load_ingredient_table(out)
 
     stats = ExtractionStats()
 
     def retrieve(query):
-        return topk_query(query, index, config.k, pruning=True, stats=stats.search)
+        return topk_query(query, index, config.k, stats=stats.search)
 
     pairs = extract_with_retriever(
         test,

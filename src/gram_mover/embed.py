@@ -85,9 +85,6 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
 
-    def vector(self, token: str) -> np.ndarray:
-        return self.vectors[self.vocab.index[token]]
-
     def unit_vectors(self) -> np.ndarray:
         """Rows normalized to unit length; zero rows stay zero. Cached."""
         if self._units is None:

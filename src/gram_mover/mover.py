@@ -544,45 +544,36 @@ def topk_query(
     query: TokenSeq,
     index: MoverIndex,
     k: int,
-    pruning: bool = True,
     stats: SearchStats | None = None,
 ) -> list[tuple[str, float]]:
     """The k nearest indexed documents by exact mover distance, ascending,
     ties broken by doc id.
 
-    Pruning visits candidates in order of their lower bound and skips the
-    exact solve whenever that bound exceeds the current k-th best by more
-    than rounding. Once k distances are held, each solve also gets the k-th
-    best plus that rounding slack as its cutoff, and stops early once its
-    distance provably cannot reach the k best. Results are identical either
-    way, ties included; without pruning every candidate is solved to the end.
+    Candidates are visited in order of their lower bound, and the exact
+    solve is skipped whenever that bound exceeds the current k-th best by
+    more than rounding. Once k distances are held, each solve also gets the
+    k-th best plus that rounding slack as its cutoff, and stops early once
+    its distance provably cannot reach the k best. The result is the one
+    that solving every candidate to the end gives, ties included. Work is
+    counted in `stats`, a fresh `SearchStats` when none is given.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not index.entries:
         raise ValueError("index is empty")
+    if stats is None:
+        stats = SearchStats()
     query_hist = nbow(query, index.table)
     rows = index.rows
     query_rows = rows.take(query_hist.support, axis=0)
 
-    def cost_to(entry: PreparedDoc) -> CostMatrix:
-        return _ground_cost(query_rows, rows.take(entry.hist.support, axis=0), index.metric)
-
-    if not pruning:
-        evaluated = [
-            (_solve(query_hist, entry.hist, cost_to(entry), stats), entry.doc_id)
-            for entry in index.entries
-        ]
-        return _ranked(evaluated, k)
-
     bounds = []
     for entry in index.entries:
-        cost = cost_to(entry)
+        cost = _ground_cost(query_rows, rows.take(entry.hist.support, axis=0), index.metric)
         bound = rwmd(query_hist, entry.hist, cost)
         if index.metric == EUCLIDEAN:
             bound = max(bound, wcd(query_hist, entry.hist, index.table))
-        if stats is not None:
-            stats.bound_computations += 1
+        stats.bound_computations += 1
         bounds.append((bound, entry.doc_id, entry, cost))
     bounds.sort(key=lambda item: (item[0], item[1]))
 
@@ -591,12 +582,16 @@ def topk_query(
     best_heap: list[float] = []  # max-heap (negated) of the k best distances
     for position, (bound, doc_id, entry, cost) in enumerate(bounds):
         if bound > cutoff:
-            if stats is not None:
-                stats.pruned += len(bounds) - position
+            stats.pruned += len(bounds) - position
             break
-        distance = _solve(query_hist, entry.hist, cost, stats, cutoff)
-        if distance is None:
+        try:
+            distance, plan = emd_exact(query_hist, entry.hist, cost, cutoff=cutoff)
+        except _StoppedEarly as stopped:
+            stats.early_stopped += 1
+            stats.pivots += stopped.pivots
             continue
+        stats.exact_evaluations += 1
+        stats.pivots += plan.pivots
         evaluated.append((distance, doc_id))
         if len(best_heap) < k:
             heapq.heappush(best_heap, -distance)
@@ -604,27 +599,6 @@ def topk_query(
             heapq.heapreplace(best_heap, -distance)
         if len(best_heap) == k:
             cutoff = -best_heap[0] + _PRUNE_SLACK
-    return _ranked(evaluated, k)
-
-
-def _solve(
-    a: GramHistogram, b: GramHistogram, cost: CostMatrix, stats, cutoff: float = np.inf
-) -> float | None:
-    """`emd_exact`'s distance, counted in `stats`; None when the solve stopped
-    early because its distance exceeds `cutoff`."""
-    try:
-        distance, plan = emd_exact(a, b, cost, cutoff=cutoff)
-    except _StoppedEarly as stopped:
-        if stats is not None:
-            stats.early_stopped += 1
-            stats.pivots += stopped.pivots
-        return None
-    if stats is not None:
-        stats.exact_evaluations += 1
-        stats.pivots += plan.pivots
-    return distance
-
-
-def _ranked(evaluated: list[tuple[float, str]], k: int) -> list[tuple[str, float]]:
     evaluated.sort(key=lambda item: (item[0], item[1]))
     return [(doc_id, distance) for distance, doc_id in evaluated[:k]]
+

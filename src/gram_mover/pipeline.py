@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -129,25 +130,32 @@ class TfidfIndex:
     df: dict[str, int]
     doc_norms: dict[str, float]
     postings: dict[str, list[tuple[str, float]]]
-    granularity: str
 
-    def idf(self, token: str) -> float:
-        count = self.df.get(token, 0)
-        if count == 0:
-            return 0.0
-        return float(np.log(self.n_docs / count))
+
+def _tfidf_weights(
+    counts: Counter, df: dict[str, int], n_docs: int
+) -> tuple[dict[str, float], float]:
+    """The nonzero tf·log(N/df) weights of one document's term counts, in
+    order of first occurrence, and their L2 norm; a term with no document
+    frequency weighs nothing."""
+    weights = {}
+    sq_sum = 0.0
+    for token, tf in counts.items():
+        count = df.get(token, 0)
+        weight = tf * float(np.log(n_docs / count)) if count else 0.0
+        if weight != 0.0:
+            weights[token] = weight
+            sq_sum += weight * weight
+    return weights, float(np.sqrt(sq_sum))
 
 
 def build_tfidf_index(docs: Sequence[tuple[str, TokenSeq]]) -> TfidfIndex:
     if not docs:
         raise ValueError("cannot index an empty document list")
-    granularity = docs[0][1].granularity
     df: dict[str, int] = {}
     term_counts = []
     for doc_id, tokens in docs:
-        counts: dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
+        counts = Counter(tokens)
         term_counts.append((doc_id, counts))
         for token in counts:
             df[token] = df.get(token, 0) + 1
@@ -156,37 +164,16 @@ def build_tfidf_index(docs: Sequence[tuple[str, TokenSeq]]) -> TfidfIndex:
     doc_norms: dict[str, float] = {}
     postings: dict[str, list[tuple[str, float]]] = {}
     for doc_id, counts in term_counts:
-        sq_sum = 0.0
-        for token, tf in counts.items():
-            weight = tf * float(np.log(n_docs / df[token]))
-            if weight == 0.0:
-                continue
+        weights, doc_norms[doc_id] = _tfidf_weights(counts, df, n_docs)
+        for token, weight in weights.items():
             postings.setdefault(token, []).append((doc_id, weight))
-            sq_sum += weight * weight
-        doc_norms[doc_id] = float(np.sqrt(sq_sum))
-    return TfidfIndex(
-        n_docs=n_docs, df=df, doc_norms=doc_norms, postings=postings, granularity=granularity
-    )
-
-
-def _weighted(tokens: TokenSeq, index: TfidfIndex) -> tuple[dict[str, float], float]:
-    counts: dict[str, int] = {}
-    for token in tokens:
-        counts[token] = counts.get(token, 0) + 1
-    weights = {}
-    sq_sum = 0.0
-    for token, tf in counts.items():
-        weight = tf * index.idf(token)
-        if weight != 0.0:
-            weights[token] = weight
-            sq_sum += weight * weight
-    return weights, float(np.sqrt(sq_sum))
+    return TfidfIndex(n_docs=n_docs, df=df, doc_norms=doc_norms, postings=postings)
 
 
 def tfidf_similarities(query: TokenSeq, index: TfidfIndex) -> dict[str, float]:
     """Cosine similarity of the query against every indexed document,
     accumulated over postings; documents sharing no token score 0."""
-    weights, norm = _weighted(query, index)
+    weights, norm = _tfidf_weights(Counter(query), index.df, index.n_docs)
     scores = {doc_id: 0.0 for doc_id in index.doc_norms}
     if norm == 0.0:
         return scores
@@ -205,22 +192,6 @@ def tfidf_similarities(query: TokenSeq, index: TfidfIndex) -> dict[str, float]:
 # --- retrieval ---------------------------------------------------------------
 
 Retriever = Callable[[TokenSeq], list[tuple[str, float]]]
-
-
-def _mover_retriever(
-    train_docs: Sequence[tuple[str, TokenSeq]],
-    table: EmbeddingTable,
-    metric: str,
-    k: int,
-    stats: ExtractionStats | None,
-) -> Retriever:
-    index = build_index(train_docs, table, metric)
-
-    def retrieve(query: TokenSeq) -> list[tuple[str, float]]:
-        search_stats = stats.search if stats is not None else None
-        return topk_query(query, index, k, pruning=True, stats=search_stats)
-
-    return retrieve
 
 
 def _tfidf_retriever(
@@ -276,8 +247,8 @@ def extract_candidates(
     baseline_words: bool = False,
     stats: ExtractionStats | None = None,
 ) -> list[CandidatePair]:
-    """Top-k instruction-text retrieval per test recipe, ingredients filter,
-    and dedup by unordered id pair keeping the smallest distance.
+    """Top-k instruction-text retrieval per test recipe, then the
+    ingredients filter.
 
     Ingredient lists are compared as (train recipe, test recipe): the train
     side plays the candidate original, the test side the candidate
@@ -285,6 +256,8 @@ def extract_candidates(
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if stats is None:
+        stats = ExtractionStats()
     granularity = method_granularity(method, baseline_words=baseline_words)
     train_docs = build_instruction_docs(train, granularity)
 
@@ -293,7 +266,11 @@ def extract_candidates(
     else:
         if table is None:
             raise ValueError(f"method {method!r} requires an embedding table")
-        retrieve = _mover_retriever(train_docs, table, metric, k, stats)
+        index = build_index(train_docs, table, metric)
+
+        def retrieve(query: TokenSeq) -> list[tuple[str, float]]:
+            return topk_query(query, index, k, stats=stats.search)
+
     return extract_with_retriever(
         test,
         train,
@@ -316,41 +293,40 @@ def extract_with_retriever(
     threshold: int = ANNOTATION_THRESHOLD,
     stats: ExtractionStats | None = None,
 ) -> list[CandidatePair]:
-    """The retrieval loop shared by every method: query each test recipe,
-    apply the ingredients filter, dedup by unordered id pair."""
-    best: dict[tuple[str, str], CandidatePair] = {}
+    """The retrieval loop shared by every method: query each test recipe and
+    apply the ingredients filter. Pairs come back sorted by (query id,
+    candidate id); test and train are disjoint sides of one corpus, so no
+    pair repeats. Work is counted in `stats`, a fresh `ExtractionStats` when
+    none is given."""
+    if stats is None:
+        stats = ExtractionStats()
+    pairs = []
     for recipe in test:
-        if stats is not None:
-            stats.queries_total += 1
+        stats.queries_total += 1
         query = instruction_tokens(recipe, granularity)
         try:
             hits = retrieve(query)
         except ValueError as error:
             logger.warning("skipping query %s: %s", recipe.id, error)
-            if stats is not None:
-                stats.queries_skipped.append(recipe.id)
+            stats.queries_skipped.append(recipe.id)
             continue
+        stats.pairs_before_filter += len(hits)
         for candidate_id, distance in hits:
-            if stats is not None:
-                stats.pairs_before_filter += 1
             original = train.get(candidate_id)
             ing_dist = ingredients_distance(
                 original.ingredients, recipe.ingredients, ingredient_table
             )
-            if not passes_annotation_filter(ing_dist, threshold):
-                continue
-            pair = CandidatePair(
-                query_id=recipe.id,
-                candidate_id=candidate_id,
-                method=method,
-                instruction_distance=float(distance),
-                ingredients_distance=ing_dist,
-            )
-            key = tuple(sorted((pair.query_id, pair.candidate_id)))
-            kept = best.get(key)
-            if kept is None or pair.instruction_distance < kept.instruction_distance:
-                best[key] = pair
-    return sorted(best.values(), key=lambda p: (p.query_id, p.candidate_id))
+            if passes_annotation_filter(ing_dist, threshold):
+                pairs.append(
+                    CandidatePair(
+                        query_id=recipe.id,
+                        candidate_id=candidate_id,
+                        method=method,
+                        instruction_distance=float(distance),
+                        ingredients_distance=ing_dist,
+                    )
+                )
+    return sorted(pairs, key=lambda p: (p.query_id, p.candidate_id))
 
 
 # --- reporting ---------------------------------------------------------------

@@ -236,27 +236,6 @@ def save_truth(pairs: list[PlantedPair], path) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def load_truth(path) -> list[PlantedPair]:
-    pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                pairs.append(
-                    PlantedPair(
-                        test_id=str(record["test_id"]),
-                        train_id=str(record["train_id"]),
-                        typo_count=int(record["typo_count"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-                raise ValueError(f"{path}:{line_no}: invalid ground-truth record: {error}")
-    return pairs
-
-
 def synthetic_classification_pool(
     seed: int = 1, positives: int = 50, negatives: int = 1000
 ) -> list[LabeledExample]:

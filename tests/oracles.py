@@ -9,15 +9,22 @@ example at a time, the noise table is built in full, one SGNS document
 update is summed one (center, context) pair at a time, the cosine
 distance of two vectors is taken in float64 from their norms, and the tf-idf
 cosine of two documents is built from dense per-document weight dicts.
-None of it shares code with the package under test.
+None of it shares code with the package under test, except the exhaustive
+top-k reference, which ranks the package's own pairwise mover distance so
+that a pruned search can be compared with solving every pair to the end,
+and the ground-truth reader, which builds the package's `PlantedPair`.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
 
 import numpy as np
+
+from gram_mover.mover import mover_distance
+from gram_mover.synth import PlantedPair
 
 logger = logging.getLogger(__name__)
 
@@ -298,3 +305,35 @@ def tfidf_cosine(tokens_a, tokens_b, index):
         return 0.0
     dot = sum(w * vector_b.get(token, 0.0) for token, w in vector_a.items())
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))
+
+
+def exhaustive_topk(query, docs, table, metric, k):
+    """The k nearest of `docs` ((doc id, tokens) pairs) to `query`:
+    `mover_distance` to every document, sorted by (distance, doc id)."""
+    ranked = sorted(
+        (mover_distance(query, tokens, table, metric), doc_id) for doc_id, tokens in docs
+    )
+    return [(doc_id, distance) for distance, doc_id in ranked[:k]]
+
+
+def load_truth(path):
+    """The planted pairs a `synth.save_truth` file holds; a malformed line
+    raises ValueError naming its position."""
+    pairs = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                pairs.append(
+                    PlantedPair(
+                        test_id=str(record["test_id"]),
+                        train_id=str(record["train_id"]),
+                        typo_count=int(record["typo_count"]),
+                    )
+                )
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
+                raise ValueError(f"{path}:{line_no}: invalid ground-truth record: {error}")
+    return pairs

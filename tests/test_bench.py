@@ -1,6 +1,7 @@
-"""The traced benchmark run end to end, on one small round: every stage
-exits 0, every function it wraps still exists, and it reports every
-per-layer metric that BENCHMARK.json declares and the trace computes."""
+"""The traced benchmark run end to end, on one small round of each
+workload: every stage exits 0, every function it wraps still exists, and it
+reports every per-layer metric that BENCHMARK.json declares and the trace
+computes."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gram_mover
 
@@ -29,12 +32,13 @@ def _run(script: str, *argv: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_traced_round_reports_every_per_layer_metric(tmp_path):
+@pytest.mark.parametrize("workload", ["planted-gram3", "word-batch"])
+def test_traced_round_reports_every_per_layer_metric(tmp_path, workload):
     seed = "100"  # round 0 of benchmark seed 1
     inputs = tmp_path / "inputs"
-    _run("gen.py", "--workload", "planted-gram3", "--seed", seed, "--dir", str(inputs))
+    _run("gen.py", "--workload", workload, "--seed", seed, "--dir", str(inputs))
     traced = _run(
-        "trace.py", "--workload", "planted-gram3", "--seed", seed, "--inputs", str(inputs),
+        "trace.py", "--workload", workload, "--seed", seed, "--inputs", str(inputs),
         "--out", str(tmp_path / "out"), "--trace-file", str(tmp_path / "trace.json"),
     )
     assert traced["missing"] == []

@@ -16,6 +16,7 @@ from gram_mover.classify import (
     ForestModel,
     LabeledExample,
     _Node,
+    _build_tree,
     default_grid,
     examples_from_pairs,
     f1_score,
@@ -267,8 +268,7 @@ class TestRandomForest:
         examples = [
             _example(features[i, 0], features[i, 1], bool(labels[i])) for i in range(n)
         ]
-        model = train_random_forest(examples, trees=1, max_depth=1, seed=1, bootstrap=False)
-        stump = model.trees[0]
+        stump = _build_tree(features, labels, 1)
         oracle = oracle_stump(features, labels)
 
         p = labels.mean()
@@ -320,9 +320,7 @@ class TestRandomForest:
 
     def test_vote_tie_predicts_negative(self):
         model = ForestModel(
-            trees=[_Node(label=True), _Node(label=False)],
-            max_depth=1, seed=0, bootstrap=False,
-        )
+trees=[_Node(label=True), _Node(label=False)])
         assert not model.predict(np.array([[0.0, 0.0]]))[0]
 
     def test_parameter_validation(self):

@@ -36,8 +36,8 @@ from gram_mover.corpus import (
 from gram_mover.embed import SgnsConfig, load_vectors
 from gram_mover.mover import CostMatrix, GramHistogram, SolverError, emd_exact
 from gram_mover.pipeline import CandidatePair, load_pairs, save_pairs
-from gram_mover.synth import generate_corpus, load_truth
-from oracles import certify_optimal
+from gram_mover.synth import CUTOFF, generate_corpus
+from oracles import certify_optimal, load_truth
 
 SMALL_SYNTH = (
     "--seed", 11, "--train-size", 40, "--planted", 6, "--fresh", 3, "--pool-size", 30,
@@ -643,7 +643,11 @@ class TestFullChain:
         assert len(index.entries) == 40
         ingredients = chain / "embeddings-ingredients.vec"
         (out / "embeddings-ingredients.vec").write_bytes(ingredients.read_bytes())
-        assert run("extract-candidates", "--corpus", corpus, "--out", out, "--k", 5) == 0
+        code = run(
+            "extract-candidates", "--corpus", corpus, "--out", out, "--k", 5,
+            "--embedding-source", vectors,
+        )
+        assert code == 0
         external = load_pairs(out / "candidates-gram3-external.jsonl")
         assert external
         assert all(pair.method == "gram3-external" for pair in external)
@@ -707,6 +711,16 @@ def _weights_missing(arrays):
     del arrays["weights"]
 
 
+def _doc_id_repeated(arrays):
+    """The first document stored a second time, so every train id is still
+    indexed, one of them twice."""
+    lo, hi = arrays["offsets"][:2]
+    arrays["doc_ids"] = np.append(arrays["doc_ids"], arrays["doc_ids"][0])
+    arrays["supports"] = np.append(arrays["supports"], arrays["supports"][lo:hi])
+    arrays["weights"] = np.append(arrays["weights"], arrays["weights"][lo:hi])
+    arrays["offsets"] = np.append(arrays["offsets"], arrays["offsets"][-1] + hi - lo)
+
+
 class TestExtractionChecks:
     @pytest.mark.parametrize(
         "corrupt, array",
@@ -757,6 +771,46 @@ class TestExtractionChecks:
         assert code == 2
         assert "metric" in capsys.readouterr().err
         assert not (out / "candidates-gram3-sgns.jsonl").exists()
+
+    @pytest.mark.parametrize("days", [-30, 3], ids=["earlier cutoff", "later cutoff"])
+    def test_index_from_another_train_split_exits_2(self, chain, tmp_path, capsys, days):
+        out = _copy_chain_inputs(chain, tmp_path / "split")
+        (out / "index-gram3.npz").write_bytes((chain / "index-gram3.npz").read_bytes())
+        cutoff = CUTOFF + timedelta(days=days)
+        low, high = sorted((cutoff, CUTOFF))
+        moved = [r for r in load_corpus(out / "corpus.jsonl") if low < r.published <= high]
+        assert moved  # recipes the index's train side and this one disagree on
+        capsys.readouterr()
+        code = run(
+            "extract-candidates", "--corpus", out / "corpus.jsonl", "--out", out, "--k", 5,
+            "--cutoff", cutoff.isoformat(),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: corpus:")
+        assert not (out / "candidates-gram3-sgns.jsonl").exists()
+
+    def test_index_with_a_repeated_doc_id_exits_2(self, chain, tmp_path, capsys):
+        out = _copy_chain_inputs(chain, tmp_path / "repeated")
+        path = out / "index-gram3.npz"
+        path.write_bytes((chain / "index-gram3.npz").read_bytes())
+        _rewrite_index(path, _doc_id_repeated)
+        assert len(load_index(path)[0].entries) == 41
+        capsys.readouterr()
+        code = run("extract-candidates", "--corpus", out / "corpus.jsonl", "--out", out, "--k", 5)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: corpus:")
+        assert not (out / "candidates-gram3-sgns.jsonl").exists()
+
+    def test_index_embedding_source_must_match_the_configuration(self, chain, tmp_path, capsys):
+        out = _copy_chain_inputs(chain, tmp_path / "source")
+        corpus = out / "corpus.jsonl"
+        vectors = out / "embeddings-gram3.vec"
+        assert run("build-index", "--corpus", corpus, "--out", out, "--embedding-source", vectors) == 0
+        capsys.readouterr()
+        code = run("extract-candidates", "--corpus", corpus, "--out", out, "--k", 5)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: embedding_source:")
+        assert not list(out.glob("candidates-*.jsonl"))
 
     def test_solver_failure_leaves_a_replayable_instance(
         self, chain, tmp_path, capsys, monkeypatch

@@ -32,7 +32,7 @@ from gram_mover.mover import (
     wcd,
 )
 from gram_mover.tokenize import TokenSeq, char_ngrams
-from oracles import certify_optimal, oracle_emd
+from oracles import certify_optimal, exhaustive_topk, oracle_emd
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -462,19 +462,17 @@ class TestTopkQuery:
         table, docs = _random_corpus(rng, 60)
         index = build_index(docs, table, metric)
         for q in range(0, 10):
-            pruned_stats = SearchStats()
-            plain_stats = SearchStats()
-            pruned = topk_query(docs[q][1], index, k=5, pruning=True, stats=pruned_stats)
-            plain = topk_query(docs[q][1], index, k=5, pruning=False, stats=plain_stats)
-            assert pruned == plain
-            assert pruned_stats.exact_evaluations <= plain_stats.exact_evaluations
+            stats = SearchStats()
+            pruned = topk_query(docs[q][1], index, k=5, stats=stats)
+            assert pruned == exhaustive_topk(docs[q][1], docs, table, metric, 5)
+            assert stats.exact_evaluations <= len(index.entries)  # the exhaustive solves
 
     def test_pruning_skips_work_on_spread_corpus(self):
         rng = np.random.default_rng(8)
         table, docs = _random_corpus(rng, 120)
         index = build_index(docs, table, COSINE)
         stats = SearchStats()
-        topk_query(docs[0][1], index, k=3, pruning=True, stats=stats)
+        topk_query(docs[0][1], index, k=3, stats=stats)
         assert stats.bound_computations == 120
         assert stats.exact_evaluations < 120
         assert stats.pruned == 120 - stats.exact_evaluations - stats.early_stopped
@@ -501,8 +499,8 @@ class TestTopkQuery:
             for k in range(1, 6):
                 # pruning stops solves early too, once it holds k distances
                 stats = SearchStats()
-                pruned = topk_query(query, index, k, pruning=True, stats=stats)
-                assert pruned == topk_query(query, index, k, pruning=False), (metric, k)
+                pruned = topk_query(query, index, k, stats=stats)
+                assert pruned == exhaustive_topk(query, docs, table, metric, k), (metric, k)
                 assert stats.bound_computations == (
                     stats.exact_evaluations + stats.early_stopped + stats.pruned
                 )
@@ -515,7 +513,7 @@ class TestTopkQuery:
         stats = SearchStats()
         for q in range(0, 80, 8):
             hits = topk_query(docs[q][1], index, k=5, stats=stats)
-            assert hits == topk_query(docs[q][1], index, k=5, pruning=False)
+            assert hits == exhaustive_topk(docs[q][1], docs, table, metric, 5)
         assert stats.early_stopped > 0
         assert stats.bound_computations == 10 * 80
         assert stats.bound_computations == (
@@ -539,14 +537,19 @@ class TestTopkQuery:
     @pytest.mark.parametrize("pruning", [True, False])
     def test_distances_equal_mover_distance_exactly(self, metric, pruning):
         # the index, the search and the pair-wise distance build their
-        # ground costs through one code path, so not even rounding differs
+        # ground costs through one code path, so not even rounding differs;
+        # without pruning, k spans the whole index, so that every candidate
+        # is solved to the end
         rng = np.random.default_rng(9)
         table, docs = _random_corpus(rng, 50)
         tokens = dict(docs)
         index = build_index(docs, table, metric)
         for q in range(0, 50, 7):
-            hits = topk_query(docs[q][1], index, k=8, pruning=pruning)
-            assert len(hits) == 8
+            stats = SearchStats()
+            hits = topk_query(docs[q][1], index, k=8 if pruning else 50, stats=stats)[:8]
+            if not pruning:
+                assert stats.exact_evaluations == 50
+            assert hits == exhaustive_topk(docs[q][1], docs, table, metric, 8)
             for doc_id, distance in hits:
                 assert distance == mover_distance(docs[q][1], tokens[doc_id], table, metric)
 
@@ -574,7 +577,9 @@ class TestIndexPersistence:
     @pytest.mark.parametrize("pruning", [True, False])
     def test_loaded_index_returns_the_same_hits(self, tmp_path, metric, pruning):
         # both construction paths build their ground rows lazily from the
-        # table, so the hits agree exactly, distances included
+        # table, so the hits agree exactly, distances included; without
+        # pruning, k spans the whole index, so that every candidate is
+        # solved to the end
         rng = np.random.default_rng(12)
         table, docs = _random_corpus(rng, 40)
         index = build_index(docs, table, metric)
@@ -583,9 +588,11 @@ class TestIndexPersistence:
         loaded, granularity, method = load_index(path)
         assert (loaded.metric, granularity, method) == (metric, GRAM3, "gram3-sgns")
         assert "rows" not in vars(index) and "rows" not in vars(loaded)  # not built yet
+        k = 6 if pruning else 40
         for q in range(0, 40, 6):
-            hits = topk_query(docs[q][1], index, k=6, pruning=pruning)
-            assert topk_query(docs[q][1], loaded, k=6, pruning=pruning) == hits
+            hits = topk_query(docs[q][1], index, k)
+            assert topk_query(docs[q][1], loaded, k) == hits
+            assert hits[:6] == exhaustive_topk(docs[q][1], docs, table, metric, 6)
 
 
 class TestBenchmarkContract:

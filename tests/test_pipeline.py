@@ -232,17 +232,6 @@ class TestExtractCandidates:
             outcomes[method] = {(p.query_id, p.candidate_id, p.instruction_distance) for p in pairs}
         assert len(set(map(frozenset, outcomes.values()))) == 1
 
-    def test_dedup_keeps_smallest_distance(self):
-        both = Corpus.from_recipes(
-            [_recipe("r1", "abcd"), _recipe("r2", "abcde")]
-        )
-        # direction-dependent measure: distance = token count of the train doc
-        retrieve = _measure_retriever(both, GRAM3, lambda qa, qb: float(len(qb.tokens)), k=2)
-        pairs = extract_with_retriever(both, both, METHOD_GRAM3_SGNS, GRAM3, retrieve)
-        cross = [p for p in pairs if p.query_id != p.candidate_id]
-        assert len(cross) == 1
-        assert cross[0].instruction_distance == 2.0  # min(len r1 grams, len r2 grams)
-
     def test_ingredient_orientation_is_train_then_test(self):
         asymmetric = make_table(
             {

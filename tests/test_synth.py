@@ -8,10 +8,10 @@ from gram_mover.synth import (
     MAX_INGREDIENTS,
     PlantedPair,
     generate_corpus,
-    load_truth,
     save_truth,
     synthetic_classification_pool,
 )
+from oracles import load_truth
 
 SMALL = dict(seed=11, train_size=40, planted=6, fresh=3, pool_size=30)
 
