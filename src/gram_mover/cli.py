@@ -33,6 +33,7 @@ from .classify import (
 )
 from .corpus import Corpus, load_corpus, save_corpus, split_by_date
 from .embed import EmbeddingTable, SgnsConfig, Vocab, load_vectors, save_vectors, train_sgns
+from .ingredients import ANNOTATION_THRESHOLD
 from .mover import (
     COSINE,
     EUCLIDEAN,
@@ -82,10 +83,11 @@ class MissingArtifact(Exception):
 
 
 @dataclass
-class CliConfig:
+class CliConfig(SgnsConfig):
     """Every setting a subcommand reads, with its type and default; a
-    config-file key or flag is named after its field. The SGNS fields match
-    `SgnsConfig`'s names and defaults."""
+    config-file key or flag is named after its field. The SGNS settings,
+    `seed` among them, are the fields it inherits from `SgnsConfig`, so
+    `train-embeddings` passes the whole configuration to `train_sgns`."""
 
     corpus: str | None = None
     cutoff: date = CUTOFF
@@ -93,27 +95,14 @@ class CliConfig:
     embedding_source: str = "train-sgns"
     metric: str = COSINE
     k: int = 10
-    threshold: int = 2
-    seed: int = 1
+    threshold: int = ANNOTATION_THRESHOLD
     out: str = "out"
     baseline_words: bool = False
-    dimension: int = 100
-    window: int = 15
-    negatives: int = 5
-    epochs: int = 5
-    initial_step_size: float = 0.025
-    final_step_size: float = 1e-4
-    subsample_threshold: float = 1e-4
-    min_count: int = 5
-    noise_table_size: int = 10_000_000
     train_size: int = 940
     planted: int = 50
     fresh: int = 10
     pool_size: int = 200
     typo_rate: float = 0.02
-
-    def sgns_config(self) -> SgnsConfig:
-        return SgnsConfig(**{f.name: getattr(self, f.name) for f in fields(SgnsConfig)})
 
     def out_dir(self) -> Path:
         return Path(self.out)
@@ -286,7 +275,21 @@ def save_solver_failure(out: Path, error: SolverError) -> Path:
 # --- index persistence -------------------------------------------------------
 
 
-def save_index(path: Path, index: MoverIndex, granularity: str, method: str) -> None:
+def train_digest(train: Corpus) -> int:
+    """CRC-32 of what `build-index` reads from each train recipe: its id,
+    `instructions` and `instructions_tokens`. The records are sorted first,
+    so the corpus's record order does not change it. (zlib, not hashlib:
+    see `save_solver_failure`.)"""
+    records = sorted(
+        json.dumps([recipe.id, recipe.instructions, recipe.instructions_tokens], ensure_ascii=False)
+        for recipe in train
+    )
+    return zlib.crc32("\n".join(records).encode())
+
+
+def save_index(path: Path, index: MoverIndex, granularity: str, method: str, digest: int) -> None:
+    """Write the index as CSR arrays, with `digest`, the `train_digest` of
+    the recipes it was built from."""
     hists = [entry.hist for entry in index.entries]
     supports = np.concatenate([np.zeros(0, dtype=np.int64)] + [hist.support for hist in hists])
     weights = np.concatenate([np.zeros(0, dtype=np.float64)] + [hist.weights for hist in hists])
@@ -309,6 +312,7 @@ def save_index(path: Path, index: MoverIndex, granularity: str, method: str) -> 
                 granularity=np.array(granularity),
                 metric=np.array(index.metric),
                 method=np.array(method),
+                train_digest=np.array(digest, dtype=np.uint32),
             )
 
     _atomic_write(path, writer)
@@ -317,19 +321,18 @@ def save_index(path: Path, index: MoverIndex, granularity: str, method: str) -> 
 #: every array `save_index` writes, in its order
 _INDEX_ARRAYS = (
     "tokens", "vectors", "doc_ids", "offsets", "supports", "weights",
-    "skipped", "granularity", "metric", "method",
+    "skipped", "granularity", "metric", "method", "train_digest",
 )
 
 
 def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Reject CSR arrays that do not describe one histogram per doc id over
-    the stored vocabulary; the error names the file, the array and, where
-    one document is at fault, its doc id."""
+    """Reject CSR arrays that do not fit together: one nonempty run of
+    supports and weights per doc id, with support ids inside the stored
+    vocabulary. The error names the file and the array. Each document's
+    own histogram is checked by `GramHistogram`."""
     tokens, doc_ids, offsets, supports, weights = (
         arrays[name] for name in ("tokens", "doc_ids", "offsets", "supports", "weights")
     )
-    if len(set(tokens.tolist())) != len(tokens):
-        raise ValueError(f"{path}: tokens holds a token more than once")
     if len(doc_ids) != len(offsets) - 1:
         raise ValueError(
             f"{path}: doc_ids has {len(doc_ids)} entries, "
@@ -346,21 +349,13 @@ def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
         )
     if len(supports) and (supports.min() < 0 or supports.max() >= len(tokens)):
         raise ValueError(f"{path}: supports holds ids outside [0, {len(tokens)})")
-    doc = np.repeat(np.arange(len(doc_ids)), np.diff(offsets))  # document of each support entry
-    repeats = (np.diff(supports, prepend=-1) <= 0) & (np.diff(doc, prepend=-1) == 0)
-    for array, faults, rule in (
-        ("weights", ~(weights > 0), "must be positive"),
-        ("supports", repeats, "must be unique and sorted"),
-    ):
-        if np.any(faults):
-            at = str(doc_ids[doc[faults.argmax()]])
-            raise ValueError(f"{path}: {array} of document {at!r} {rule}")
 
 
-def load_index(path: Path) -> tuple[MoverIndex, str, str]:
-    """The index `save_index` wrote: each document's histogram is a view into
-    the stored CSR arrays. Missing arrays, or arrays that do not fit
-    together, raise ValueError naming the file."""
+def load_index(path: Path) -> tuple[MoverIndex, str, str, int]:
+    """The index `save_index` wrote, its granularity, method and train
+    digest: each document's histogram is a view into the stored CSR arrays.
+    Missing arrays, arrays that do not fit together and histograms that
+    `GramHistogram` rejects raise ValueError naming the file."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
     missing = [name for name in _INDEX_ARRAYS if name not in arrays]
@@ -370,18 +365,21 @@ def load_index(path: Path) -> tuple[MoverIndex, str, str]:
     granularity = str(arrays["granularity"])
     offsets, supports, weights = arrays["offsets"], arrays["supports"], arrays["weights"]
     bounds = zip(arrays["doc_ids"].tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
-    tokens = arrays["tokens"].tolist()
-    vocab = Vocab(tokens=tokens, index={t: i for i, t in enumerate(tokens)}, counts=None)
     try:
+        vocab = Vocab(tokens=arrays["tokens"].tolist(), counts=None)
         table = EmbeddingTable(vocab=vocab, vectors=arrays["vectors"])
-        entries = [
-            PreparedDoc(doc_id, GramHistogram(supports[lo:hi], weights[lo:hi]))
-            for doc_id, lo, hi in bounds
-        ]
-    except ValueError as error:  # a fault the histogram or the table rejects
+    except ValueError as error:
         raise ValueError(f"{path}: {error}") from None
+    entries = []
+    try:
+        for doc_id, lo, hi in bounds:
+            entries.append(PreparedDoc(doc_id, GramHistogram(supports[lo:hi], weights[lo:hi])))
+    except ValueError as error:
+        raise ValueError(
+            f"{path}: supports and weights of document {doc_id!r}: {error}"
+        ) from None
     index = MoverIndex(table, str(arrays["metric"]), entries, arrays["skipped"].tolist())
-    return index, granularity, str(arrays["method"])
+    return index, granularity, str(arrays["method"]), int(arrays["train_digest"])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -415,7 +413,7 @@ def _cmd_train_embeddings(config: CliConfig, args: argparse.Namespace) -> int:
     # both tables are trained before either is written, so a failure leaves
     # no vectors behind for the later stages to pick up
     docs = [tokens for _, tokens in build_instruction_docs(train, config.granularity)]
-    table = train_sgns(docs, config.sgns_config())
+    table = train_sgns(docs, config)
     ingredient_seed = config.seed + 1
     ingredient_settings = asdict(ingredient_sgns_config(ingredient_seed))
     logger.info(
@@ -453,7 +451,7 @@ def _cmd_build_index(config: CliConfig, args: argparse.Namespace) -> int:
     table = _load_instruction_table(config, out)
     index = build_index(build_instruction_docs(train, config.granularity), table, config.metric)
     path = _index_path(out, config.granularity)
-    save_index(path, index, config.granularity, config.method())
+    save_index(path, index, config.granularity, config.method(), train_digest(train))
     logger.info(
         "indexed %d documents (%d skipped) to %s", len(index.entries), len(index.skipped), path
     )
@@ -466,7 +464,7 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     index_path = _require_artifact(_index_path(out, config.granularity), "build-index")
-    index, granularity, method = load_index(index_path)
+    index, granularity, method, digest = load_index(index_path)
     for name, built, configured in (
         ("metric", index.metric, config.metric),
         ("granularity", granularity, config.granularity),
@@ -484,6 +482,12 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
             "corpus",
             f"{index_path} was built from another train split than the "
             f"{len(train)} recipes published by {config.cutoff}; rerun build-index",
+        )
+    if digest != train_digest(train):
+        raise ConfigError(
+            "corpus",
+            f"{index_path} was built from other instructions than the train "
+            f"recipes of {config.corpus}; rerun build-index",
         )
     ingredient_table = _load_ingredient_table(out)
 

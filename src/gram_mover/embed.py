@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,11 +27,17 @@ _ESCAPE_RE = re.compile(r"\\u([0-9a-fA-F]{4})")
 
 @dataclass
 class Vocab:
-    """Token/index bijection over tokens retained by a frequency threshold."""
+    """Token/index bijection over tokens retained by a frequency threshold;
+    `index` is derived from `tokens`, which must not repeat a token."""
 
     tokens: list[str]
-    index: dict[str, int]
     counts: np.ndarray | None
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {token: pos for pos, token in enumerate(self.tokens)}
+        if len(self.index) != len(self.tokens):
+            raise ValueError("tokens holds a token more than once")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -70,7 +77,6 @@ class EmbeddingTable:
 
     vocab: Vocab
     vectors: np.ndarray
-    _units: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.vocab):
@@ -85,13 +91,11 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
 
+    @cached_property
     def unit_vectors(self) -> np.ndarray:
-        """Rows normalized to unit length; zero rows stay zero. Cached."""
-        if self._units is None:
-            norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-            safe = np.where(norms > 0, norms, 1.0)
-            object.__setattr__(self, "_units", self.vectors / safe)
-        return self._units
+        """Rows normalized to unit length; zero rows stay zero."""
+        norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
+        return self.vectors / np.where(norms > 0, norms, 1.0)
 
 
 def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:
@@ -104,10 +108,8 @@ def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:
     )
     if not retained:
         raise ValueError("no tokens meet the min_count threshold; vocabulary is empty")
-    token_list = [token for token, _ in retained]
     return Vocab(
-        tokens=token_list,
-        index={token: pos for pos, token in enumerate(token_list)},
+        tokens=[token for token, _ in retained],
         counts=np.array([count for _, count in retained], dtype=np.int64),
     )
 
@@ -297,7 +299,7 @@ def nearest_neighbors(
         raise ValueError("k must be >= 1")
     if token not in table.vocab:
         return []
-    units = table.unit_vectors()
+    units = table.unit_vectors
     query_index = table.vocab.index[token]
     sims = units @ units[query_index]
     order = np.lexsort((np.arange(len(sims)), -sims))
@@ -363,7 +365,4 @@ def load_vectors(path: str | Path) -> EmbeddingTable:
             row += 1
     if row != count:
         raise ValueError(f"row count mismatch: header declares {count} rows, found {row}")
-    if len(set(tokens)) != len(tokens):
-        raise ValueError("duplicate token in vector file")
-    vocab = Vocab(tokens=tokens, index={t: i for i, t in enumerate(tokens)}, counts=None)
-    return EmbeddingTable(vocab=vocab, vectors=vectors)
+    return EmbeddingTable(vocab=Vocab(tokens=tokens, counts=None), vectors=vectors)

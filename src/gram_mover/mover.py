@@ -87,7 +87,7 @@ class GramHistogram:
             raise ValueError("histogram support must be non-empty")
         if len(self.support) != len(self.weights):
             raise ValueError("support and weights must align")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):  # written so that NaN fails too
             raise ValueError("weights must be strictly positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
@@ -191,7 +191,7 @@ def emd_exact(
         )
         row_err = np.abs(flow.sum(axis=1) - a.weights).max()
         col_err = np.abs(flow.sum(axis=0) - b.weights).max()
-        if row_err > 1e-9 or col_err > 1e-9:
+        if not (row_err <= 1e-9 and col_err <= 1e-9):  # NaN fails too
             raise SolverError(f"plan marginals off by ({row_err:.3g}, {col_err:.3g})")
     except SolverError as error:
         error.instance = {"a": a.weights.tolist(), "b": b.weights.tolist(), "cost": cost.tolist()}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,15 +47,6 @@ ALL_METHODS = (
     METHOD_TFIDF,
 )
 
-_PAIR_KEYS = (
-    "query_id",
-    "candidate_id",
-    "method",
-    "instruction_distance",
-    "ingredients_distance",
-    "label",
-)
-
 
 @dataclass(frozen=True)
 class CandidatePair:
@@ -82,7 +73,6 @@ class CandidatePair:
 class ExtractionStats:
     queries_total: int = 0
     queries_skipped: list[str] = field(default_factory=list)
-    pairs_before_filter: int = 0
     search: SearchStats = field(default_factory=SearchStats)
 
 
@@ -310,7 +300,6 @@ def extract_with_retriever(
             logger.warning("skipping query %s: %s", recipe.id, error)
             stats.queries_skipped.append(recipe.id)
             continue
-        stats.pairs_before_filter += len(hits)
         for candidate_id, distance in hits:
             original = train.get(candidate_id)
             ing_dist = ingredients_distance(
@@ -402,15 +391,8 @@ def comparison_text(summary: dict) -> str:
 
 
 def pair_to_record(pair: CandidatePair) -> str:
-    record = {
-        "query_id": pair.query_id,
-        "candidate_id": pair.candidate_id,
-        "method": pair.method,
-        "instruction_distance": pair.instruction_distance,
-        "ingredients_distance": pair.ingredients_distance,
-        "label": pair.label.value,
-    }
-    return json.dumps(record, ensure_ascii=False)
+    """One JSON object, its keys `CandidatePair`'s fields in their order."""
+    return json.dumps({**asdict(pair), "label": pair.label.value}, ensure_ascii=False)
 
 
 def parse_pair_record(line: str) -> CandidatePair:
@@ -420,7 +402,7 @@ def parse_pair_record(line: str) -> CandidatePair:
         raise ValueError(f"invalid JSON: {error}") from error
     if not isinstance(record, dict):
         raise ValueError("pair record must be a JSON object")
-    missing = [key for key in _PAIR_KEYS if key not in record]
+    missing = [f.name for f in fields(CandidatePair) if f.name not in record]
     if missing:
         raise ValueError(f"pair record missing fields: {', '.join(missing)}")
     return CandidatePair(

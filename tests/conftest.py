@@ -12,13 +12,8 @@ GRAM3 = gram_granularity(3)
 def make_table(entries: dict[str, list[float]]) -> EmbeddingTable:
     """Hand-built embedding table; token order fixes the vocab indices."""
     tokens = list(entries)
-    vocab = Vocab(
-        tokens=tokens,
-        index={token: pos for pos, token in enumerate(tokens)},
-        counts=None,
-    )
     vectors = np.asarray([entries[token] for token in tokens], dtype=np.float64)
-    return EmbeddingTable(vocab=vocab, vectors=vectors)
+    return EmbeddingTable(vocab=Vocab(tokens=tokens, counts=None), vectors=vectors)
 
 
 def make_histogram(weights, support=None) -> GramHistogram:

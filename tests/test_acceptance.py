@@ -280,7 +280,7 @@ def test_disjoint_topics_separate_in_embedding_space():
             seed=5,
         )
         table = train_sgns(docs, config)
-        units = table.unit_vectors()
+        units = table.unit_vectors
         sims = units @ units.T
         rows_a = np.array([table.vocab.index[t] for t in topic_a])
         rows_b = np.array([table.vocab.index[t] for t in topic_b])

@@ -8,7 +8,7 @@ import logging
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import get_type_hints
@@ -246,7 +246,6 @@ class TestOneDeclarationPerSetting:
                 continue
             value = getattr(parse("train-embeddings", f"--{f.name.replace('_', '-')}", 3), f.name)
             assert type(value) is hints[f.name] and value == 3, f.name
-        assert CliConfig().sgns_config() == SgnsConfig()
 
     def test_values_sgns_rejects_name_their_field(self, tmp_path):
         path = tmp_path / "settings.cfg"
@@ -579,7 +578,7 @@ class TestFullChain:
         assert len(table.vocab.tokens) > 0
 
     def test_index_roundtrip(self, chain):
-        index, granularity, method = load_index(chain / "index-gram3.npz")
+        index, granularity, method, _ = load_index(chain / "index-gram3.npz")
         assert granularity == "gram3"
         assert method == "gram3-sgns"
         assert index.metric == "cosine"
@@ -638,7 +637,7 @@ class TestFullChain:
             "--embedding-source", vectors,
         )
         assert code == 0
-        index, _, method = load_index(out / "index-gram3.npz")
+        index, _, method, _ = load_index(out / "index-gram3.npz")
         assert method == "gram3-external"
         assert len(index.entries) == 40
         ingredients = chain / "embeddings-ingredients.vec"
@@ -759,6 +758,52 @@ class TestExtractionChecks:
         assert err.startswith("error:")
         assert str(path) in err and array in err
         assert not (out / "candidates-gram3-sgns.jsonl").exists()
+
+    def test_nan_weight_names_the_file_and_the_document(self, chain, tmp_path, capsys):
+        out = _copy_chain_inputs(chain, tmp_path / "nan")
+        path = out / "index-gram3.npz"
+        path.write_bytes((chain / "index-gram3.npz").read_bytes())
+
+        def nan_weight(arrays):
+            arrays["weights"][arrays["offsets"][1]] = np.nan
+
+        _rewrite_index(path, nan_weight)
+        second_doc = str(load_index(chain / "index-gram3.npz")[0].entries[1].doc_id)
+        capsys.readouterr()
+        code = run("extract-candidates", "--corpus", out / "corpus.jsonl", "--out", out, "--k", 5)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err and "weights" in err and repr(second_doc) in err
+        assert not (out / "candidates-gram3-sgns.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "edit, code",
+        [
+            (lambda r: replace(r, instructions="鍋に水を入れて沸かす"), 2),
+            (lambda r: replace(r, instructions_tokens=("鍋", "に", "水")), 2),
+            (lambda r: replace(r, title=r.title + "（改）"), 0),
+            (lambda r: replace(r, ingredients=r.ingredients[:-1]), 0),
+            (None, 0),
+        ],
+        ids=["instructions", "instructions tokens", "title", "ingredients", "record order"],
+    )
+    def test_index_from_other_instructions_exits_2(self, chain, tmp_path, capsys, edit, code):
+        out = _copy_chain_inputs(chain, tmp_path / "stale")
+        corpus = out / "corpus.jsonl"
+        assert run("build-index", "--corpus", corpus, "--out", out) == 0
+        recipes = list(load_corpus(corpus))
+        if edit is None:
+            recipes.reverse()
+        else:
+            at = next(i for i, recipe in enumerate(recipes) if recipe.id == "train-0000")
+            recipes[at] = edit(recipes[at])
+        save_corpus(Corpus.from_recipes(recipes), corpus)
+        capsys.readouterr()
+        assert run("extract-candidates", "--corpus", corpus, "--out", out, "--k", 5) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("config error: corpus:")
+            assert not (out / "candidates-gram3-sgns.jsonl").exists()
 
     def test_index_metric_must_match_the_configuration(self, chain, tmp_path, capsys):
         out = _copy_chain_inputs(chain, tmp_path / "metric")

@@ -48,6 +48,12 @@ class TestBuildVocab:
         with pytest.raises(ValueError):
             build_vocab(["a"], min_count=2)
 
+    def test_index_follows_tokens(self):
+        vocab = Vocab(tokens=["b", "a"], counts=None)
+        assert vocab.index == {"b": 0, "a": 1}
+        with pytest.raises(ValueError, match="tokens"):
+            Vocab(tokens=["a", "b", "a"], counts=None)
+
     @given(tokens=st.lists(st.sampled_from("abcde"), min_size=1, max_size=50))
     def test_bijection(self, tokens):
         vocab = build_vocab(tokens, min_count=1)
@@ -168,6 +174,12 @@ class TestVectorFile:
         path = tmp_path / "bad.vec"
         path.write_text("1 2\na 1.0 oops\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_vectors(path)
+
+    def test_repeated_token_rejected(self, tmp_path):
+        path = tmp_path / "repeated.vec"
+        path.write_text("2 2\na 1.0 2.0\na 3.0 4.0\n")
+        with pytest.raises(ValueError, match="tokens holds a token more than once"):
             load_vectors(path)
 
 
@@ -303,12 +315,12 @@ class TestTrainSgns:
 
 class TestEmbeddingTable:
     def test_row_alignment_enforced(self):
-        vocab = Vocab(tokens=["a"], index={"a": 0}, counts=None)
+        vocab = Vocab(tokens=["a"], counts=None)
         with pytest.raises(ValueError):
             EmbeddingTable(vocab=vocab, vectors=np.zeros((2, 3)))
 
     def test_unit_vectors_zero_row_stays_zero(self):
         table = make_table({"a": [0.0, 0.0], "b": [3.0, 4.0]})
-        units = table.unit_vectors()
+        units = table.unit_vectors
         assert np.array_equal(units[0], [0.0, 0.0])
         np.testing.assert_allclose(units[1], [0.6, 0.8])

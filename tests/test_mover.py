@@ -19,6 +19,7 @@ from gram_mover.mover import (
     COSINE,
     EUCLIDEAN,
     CostMatrix,
+    GramHistogram,
     SearchStats,
     SolverError,
     TransportPlan,
@@ -59,6 +60,23 @@ class TestNbow:
     def test_support_sorted_unique(self):
         hist = nbow(_tokens("bcd", "abc", "bcd"), self.TABLE)
         assert hist.support.tolist() == [0, 1]
+
+
+class TestGramHistogram:
+    @pytest.mark.parametrize(
+        "support, weights, message",
+        [
+            ([0, 1], [np.nan, 1.0], "positive"),
+            ([0, 1], [0.0, 1.0], "positive"),
+            ([0, 1], [0.5, 0.25], "sum to 1"),
+            ([1, 0], [0.5, 0.5], "unique and sorted"),
+            ([0, 0], [0.5, 0.5], "unique and sorted"),
+        ],
+        ids=["nan weight", "zero weight", "short sum", "unsorted", "repeated"],
+    )
+    def test_rejected(self, support, weights, message):
+        with pytest.raises(ValueError, match=message):
+            GramHistogram(support=np.asarray(support), weights=np.asarray(weights))
 
 
 class TestCostMatrix:
@@ -584,8 +602,8 @@ class TestIndexPersistence:
         table, docs = _random_corpus(rng, 40)
         index = build_index(docs, table, metric)
         path = tmp_path / "index.npz"
-        save_index(path, index, GRAM3, "gram3-sgns")
-        loaded, granularity, method = load_index(path)
+        save_index(path, index, GRAM3, "gram3-sgns", 0)
+        loaded, granularity, method, _ = load_index(path)
         assert (loaded.metric, granularity, method) == (metric, GRAM3, "gram3-sgns")
         assert "rows" not in vars(index) and "rows" not in vars(loaded)  # not built yet
         k = 6 if pruning else 40
@@ -677,3 +695,14 @@ class TestSolverError:
         assert caught.value.instance == {
             "a": [0.25, 0.75], "b": [1.0], "cost": [[0.5], [0.25]]
         }
+
+    def test_nan_flow_fails_the_marginal_check(self, monkeypatch):
+        def nan_flow(a, b, cost, *, cutoff):
+            return np.full(cost.shape, np.nan), np.zeros(len(a)), np.zeros(len(b)), 0
+
+        monkeypatch.setattr("gram_mover.mover._network_simplex", nan_flow)
+        a = make_histogram([0.25, 0.75])
+        b = make_histogram([1.0])
+        with pytest.raises(SolverError, match="marginals") as caught:
+            emd_exact(a, b, make_cost([[0.5], [0.25]]))
+        assert caught.value.instance["cost"] == [[0.5], [0.25]]

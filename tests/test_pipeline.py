@@ -343,6 +343,13 @@ class TestPairPersistence:
     def test_record_round_trip(self):
         assert parse_pair_record(pair_to_record(self.PAIR)) == self.PAIR
 
+    def test_record_keys_follow_the_fields(self):
+        assert pair_to_record(self.PAIR) == (
+            '{"query_id": "q1", "candidate_id": "c1", "method": "gram3-sgns", '
+            '"instruction_distance": 0.25, "ingredients_distance": 1, '
+            '"label": "non-duplicate-c"}'
+        )
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         save_pairs([self.PAIR], path)

@@ -1,14 +1,18 @@
-"""Smoke runs of the study scripts under scripts/, which no other test
-imports: they call the package's public functions and break silently when
-a signature changes."""
+"""Smoke runs of the study scripts under scripts/ and of README's Library
+example, which no other test imports: they call the package's public
+functions and break silently when a signature changes."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name: str):
@@ -43,3 +47,19 @@ def test_classifier_study_runs_both_model_kinds(tmp_path, capsys):
     assert all(0.0 <= model["f1"] <= 1.0 for model in models.values())
     printed = capsys.readouterr().out
     assert "logistic-regression" in printed and "random-forest" in printed
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    texts = ["にんじんを切って塩を振る", "にんじんを切って煮る", "玉ねぎを切って炒める"] * 4
+    names = {"texts": texts}
+    exec(block, names)
+    hits = names["hits"]
+    assert len(hits) == 5
+    assert [distance for _, distance in hits] == sorted(distance for _, distance in hits)
+    best_id, best = hits[0]
+    query = names["char_ngrams"]("にんじんを切る", 3)
+    doc = dict(names["docs"])[best_id]
+    assert names["mover_distance"](query, doc, names["table"]) == pytest.approx(best, abs=1e-12)
