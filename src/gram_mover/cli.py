@@ -494,7 +494,7 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     stats = ExtractionStats()
 
     def retrieve(query):
-        return topk_query(query, index, config.k, stats=stats.search)
+        return topk_query(query.tokens, index, config.k, stats=stats.search, keep=query.keep)
 
     pairs = extract_with_retriever(
         test,
@@ -510,12 +510,15 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     _atomic_write(path, lambda tmp: save_pairs(pairs, tmp))
     logger.info(
         "%d candidate pairs from %d queries "
-        "(%d skipped, %d exact distance evaluations, %d stopped early, %d pivots) to %s",
+        "(%d skipped, %d exact distance evaluations, %d stopped early, "
+        "%d held, %d certified, %d pivots) to %s",
         len(pairs),
         stats.queries_total,
         len(stats.queries_skipped),
         stats.search.exact_evaluations,
         stats.search.early_stopped,
+        stats.search.held,
+        stats.search.certified,
         stats.search.pivots,
         path,
     )

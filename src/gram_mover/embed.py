@@ -71,9 +71,10 @@ class SgnsConfig:
         return self
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingTable:
-    """Dense vectors aligned with a vocab; immutable after training/loading."""
+    """Dense vectors aligned with a vocab; immutable after training/loading.
+    Tables compare and hash by identity, so caches can key on them."""
 
     vocab: Vocab
     vectors: np.ndarray

@@ -4,12 +4,18 @@ The count of ingredients left unmatched in both lists after exact-match
 cancellation and embedding-based top-3 similar-word cancellation. The
 procedure is asymmetric: similar-word queries run from the candidate
 near-duplicate side (list b), so callers must pass (original, candidate).
+
+A search calls it once per candidate it visits, so it remembers each
+distinct list's canonical names and, per embedding table, each name's
+similar words; the results are those of computing them afresh.
 """
 
 from __future__ import annotations
 
 import logging
+import weakref
 from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 
 from .embed import EmbeddingTable, nearest_neighbors
@@ -43,6 +49,17 @@ def canonicalize_list(names: Sequence[str]) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=1 << 16)
+def _canonical(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(canonicalize_list(names))
+
+
+#: per embedding table, the similar words of each name looked up so far
+_SIMILAR: weakref.WeakKeyDictionary[EmbeddingTable, dict[str, frozenset[str]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def ingredients_distance(
     a: Sequence[str], b: Sequence[str], table: EmbeddingTable | None = None
 ) -> int:
@@ -59,8 +76,8 @@ def ingredients_distance(
     near-duplicate (test side); the similar-word step only runs from the b
     side, so the operation is not symmetric in general.
     """
-    rest_a = canonicalize_list(a)
-    rest_b = canonicalize_list(b)
+    rest_a = _canonical(tuple(a))
+    rest_b = _canonical(tuple(b))
 
     # multiset exact cancellation: each occurrence consumes one occurrence
     count_b = Counter(rest_b)
@@ -78,9 +95,14 @@ def ingredients_distance(
             survivors_b.append(item)
 
     if table is not None:
+        similar = _SIMILAR.setdefault(table, {})
         unmatched_b = []
         for item in survivors_b:
-            neighbors = {token for token, _ in nearest_neighbors(table, item, SIMILAR_TOP_K)}
+            if item not in similar:
+                similar[item] = frozenset(
+                    token for token, _ in nearest_neighbors(table, item, SIMILAR_TOP_K)
+                )
+            neighbors = similar[item]
             hit = next((i for i, name in enumerate(survivors_a) if name in neighbors), None)
             if hit is None:
                 unmatched_b.append(item)

@@ -22,10 +22,15 @@ the same pivots as without a cutoff.
 Top-k search prunes candidates with the relaxed one-sided lower bound (and
 the centroid bound under a Euclidean ground metric), and once it holds k
 distances it stops every solve whose distance cannot reach them (early
-abandoning), without changing results, ties included. An index keeps one
-float64 ground-row table for its whole vocabulary, built on first use, and
-gathers each pair's rows from it: memory O(vocab · d), not O(total support
-entries · d).
+abandoning), without changing results, ties included. Given a `keep`
+predicate, it solves to the optimum only the candidates kept: the others
+are ranked, never returned, so each is held at the cost of its greedy plan,
+an upper bound, and solved only where its bounds leave its order against a
+kept hit open (the threshold algorithm of Fagin, Lotem and Naor).
+
+An index keeps one float64 ground-row table for its whole vocabulary, built
+on first use, and gathers each pair's rows from it: memory O(vocab · d), not
+O(total support entries · d).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import heapq
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -205,11 +210,10 @@ def emd_exact(
     )
 
 
-def _start_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """The greedy matrix-minimum basis as a rooted spanning tree: lists
-    `parent` (-1 at the root), `flow_up` (flow on the arc to the parent),
-    `depth` and `children` over node ids (rows 0..m-1, columns m..m+n-1),
-    and the node potentials, 0 at the root and tight on every tree arc.
+def _greedy_arcs(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """The greedy matrix-minimum plan: its arcs `(i, j, moved, row_retired)`
+    in the order taken, and its cost, the sum of moved · cost over them, an
+    upper bound on the optimum.
 
     Arcs are visited in stable cost order; an arc whose row and column are
     both still open takes min(remaining supply, remaining demand) and retires
@@ -217,28 +221,29 @@ def _start_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     except that the last open row or the last open column is never retired
     (the other line of the arc is). Lines never reopen, so every arc visited
     while both its lines are open is taken, and the scan ends after m + n - 1
-    arcs with one line open: the root. Every other line hangs from the arc
-    that retired it, under that arc's other line, which retires later or is
-    the root; so in reverse order of taking, every parent is placed before
-    its children.
+    arcs with one line open.
     """
     m, n = cost.shape
     size = m + n
     order = np.argsort(cost, axis=None, kind="stable")
     rows = (order // n).tolist()
     cols = (order % n).tolist()
+    cost_items = memoryview(cost)  # element access without numpy scalars
     supply = a.tolist()
     demand = b.tolist()
     row_open = [True] * m
     col_open = [True] * n
     open_rows, open_cols = m, n
     arcs = []
+    total = 0.0
     for i, j in zip(rows, cols):
         if row_open[i] and col_open[j]:
-            moved = min(supply[i], demand[j])
-            supply[i] -= moved
-            demand[j] -= moved
-            row_retired = open_rows > 1 and (open_cols == 1 or supply[i] <= demand[j])
+            left, wanted = supply[i], demand[j]
+            moved = left if left <= wanted else wanted
+            supply[i] = left = left - moved
+            demand[j] = wanted = wanted - moved
+            total += moved * cost_items[i, j]
+            row_retired = open_rows > 1 and (open_cols == 1 or left <= wanted)
             arcs.append((i, j, moved, row_retired))
             if len(arcs) == size - 1:
                 break
@@ -248,7 +253,22 @@ def _start_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
             else:
                 col_open[j] = False
                 open_cols -= 1
+    return arcs, total
 
+
+def _start_tree(arcs, cost: np.ndarray):
+    """The greedy plan's `arcs` as a rooted spanning tree: lists `parent`
+    (-1 at the root), `flow_up` (flow on the arc to the parent), `depth` and
+    `children` over node ids (rows 0..m-1, columns m..m+n-1), and the node
+    potentials, 0 at the root and tight on every tree arc.
+
+    The root is the line the greedy leaves open. Every other line hangs from
+    the arc that retired it, under that arc's other line, which retires later
+    or is the root; so in reverse order of taking, every parent is placed
+    before its children.
+    """
+    m, n = cost.shape
+    size = m + n
     parent = [-1] * size
     flow_up = [0.0] * size
     depth = [0] * size
@@ -295,8 +315,9 @@ def _network_simplex(
     basis (u_i + v_j = cost_ij on its arcs, cost - u - v >= -1e-12 on all)
     and the number of pivots taken.
 
-    - Start: the greedy matrix-minimum tree of `_start_tree`, so a
-      self-distance starts at its optimum (the cost-0 diagonal comes first).
+    - Start: the greedy matrix-minimum plan of `_greedy_arcs` as the tree
+      of `_start_tree`, so a self-distance starts at its optimum (the
+      cost-0 diagonal comes first).
       One pass over its arcs, last taken first, sets every parent, flow,
       depth and potential.
     - Tree: node ids 0..m-1 are rows, m..m+n-1 columns; the spanning tree is
@@ -322,7 +343,8 @@ def _network_simplex(
     if bounded and _reduction_bound(a, b, cost) > cutoff:
         raise _StoppedEarly(0)
 
-    parent, flow_up, depth, children, potential = _start_tree(a, b, cost)
+    arcs, _ = _greedy_arcs(a, b, cost)
+    parent, flow_up, depth, children, potential = _start_tree(arcs, cost)
     u, v = potential[:m], potential[m:]  # views: row and column potentials
     potential_items = memoryview(potential)  # element access without numpy scalars
     root = parent.index(-1)  # pivots never move the root
@@ -449,6 +471,11 @@ def _pivot(parent, flow_up, depth, children, potential, reduced_cost, enter_i, e
     return theta
 
 
+def _centroid(hist: GramHistogram, table: EmbeddingTable) -> np.ndarray:
+    """The weighted mean of a histogram's vectors, in float64."""
+    return hist.weights @ table.vectors[hist.support].astype(np.float64)
+
+
 def wcd(a: GramHistogram, b: GramHistogram, table: EmbeddingTable, metric: str = EUCLIDEAN) -> float:
     """Centroid lower bound: distance between the weighted mean vectors.
 
@@ -456,9 +483,7 @@ def wcd(a: GramHistogram, b: GramHistogram, table: EmbeddingTable, metric: str =
     """
     if metric != EUCLIDEAN:
         raise ValueError("wcd bound requires euclidean ground metric")
-    centroid_a = a.weights @ table.vectors[a.support].astype(np.float64)
-    centroid_b = b.weights @ table.vectors[b.support].astype(np.float64)
-    return float(np.linalg.norm(centroid_a - centroid_b))
+    return float(np.linalg.norm(_centroid(a, table) - _centroid(b, table)))
 
 
 def rwmd(a: GramHistogram, b: GramHistogram, c: CostMatrix) -> float:
@@ -510,14 +535,17 @@ class MoverIndex:
 class SearchStats:
     """Work counters of `topk_query`; they repeat exactly for equal inputs.
 
-    Every bounded candidate is solved to the end, stopped early or pruned:
-    `bound_computations == exact_evaluations + early_stopped + pruned`."""
+    Every bounded candidate is solved to the end, stopped early, pruned or
+    held: `bound_computations == exact_evaluations + early_stopped + pruned
+    + held`. Certification solves are counted apart, in `certified`."""
 
-    exact_evaluations: int = 0  # solves run to the optimum
+    exact_evaluations: int = 0  # kept candidates solved to the optimum
     bound_computations: int = 0
     pruned: int = 0  # candidates never solved: their bound exceeds the k-th best
-    early_stopped: int = 0  # solves stopped once they could not reach the k best
-    pivots: int = 0  # simplex pivots summed over completed and stopped solves
+    early_stopped: int = 0  # candidates whose bound or solve proved them out of the k best
+    held: int = 0  # candidates not kept, held at their greedy upper bound
+    certified: int = 0  # solves of held candidates that decide a kept hit's rank
+    pivots: int = 0  # simplex pivots summed over every solve, certifications included
 
 
 def build_index(
@@ -545,17 +573,28 @@ def topk_query(
     index: MoverIndex,
     k: int,
     stats: SearchStats | None = None,
+    keep: Callable[[str], bool] | None = None,
 ) -> list[tuple[str, float]]:
     """The k nearest indexed documents by exact mover distance, ascending,
-    ties broken by doc id.
+    ties broken by doc id, less those whose doc id `keep` rejects: exactly
+    `[hit for hit in top_k if keep(hit[0])]`. Without `keep` every document
+    is kept.
 
-    Candidates are visited in order of their lower bound, and the exact
-    solve is skipped whenever that bound exceeds the current k-th best by
-    more than rounding. Once k distances are held, each solve also gets the
-    k-th best plus that rounding slack as its cutoff, and stops early once
-    its distance provably cannot reach the k best. The result is the one
-    that solving every candidate to the end gives, ties included. Work is
-    counted in `stats`, a fresh `SearchStats` when none is given.
+    Candidates are visited in order of their lower bound, and the visit
+    stops once that bound exceeds the k-th best value held by more than
+    rounding. A kept candidate is solved exactly, with that k-th best plus
+    the rounding slack as its cutoff, so it stops early once its distance
+    provably cannot reach the k best. A candidate `keep` rejects is only
+    ranked, never returned: it is dropped when the reduction bound of its
+    cost exceeds the cutoff, and otherwise held at the cost of its greedy
+    plan, an upper bound on its distance. The k best values are taken over
+    kept distances and held upper bounds alike. At the end each kept hit's
+    rank is certified: a held candidate whose bounds straddle the hit's
+    distance is solved exactly, with that distance plus slack as its
+    cutoff. Kept distances come from the same solves as without `keep`, bit
+    for bit, and the hits are the ones that solving every candidate to the
+    end and then applying `keep` gives, ties included. Work is counted in
+    `stats`, a fresh `SearchStats` when none is given.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -566,39 +605,86 @@ def topk_query(
     query_hist = nbow(query, index.table)
     rows = index.rows
     query_rows = rows.take(query_hist.support, axis=0)
+    euclidean = index.metric == EUCLIDEAN
+    if euclidean:
+        query_centroid = _centroid(query_hist, index.table)
 
     bounds = []
     for entry in index.entries:
         cost = _ground_cost(query_rows, rows.take(entry.hist.support, axis=0), index.metric)
         bound = rwmd(query_hist, entry.hist, cost)
-        if index.metric == EUCLIDEAN:
-            bound = max(bound, wcd(query_hist, entry.hist, index.table))
+        if euclidean:
+            centroid = _centroid(entry.hist, index.table)
+            bound = max(bound, float(np.linalg.norm(query_centroid - centroid)))
         stats.bound_computations += 1
         bounds.append((bound, entry.doc_id, entry, cost))
     bounds.sort(key=lambda item: (item[0], item[1]))
 
-    evaluated: list[tuple[float, str]] = []
-    cutoff = np.inf  # the k-th best distance plus slack, once k are held
-    best_heap: list[float] = []  # max-heap (negated) of the k best distances
+    kept: list[tuple[float, str]] = []  # completed solves of kept candidates
+    held = []  # (bound, doc id, greedy upper bound, entry, cost), in bound order
+    cutoff = np.inf  # the k-th best value plus slack, once k are held
+    best_heap: list[float] = []  # max-heap (negated) of the k best values
     for position, (bound, doc_id, entry, cost) in enumerate(bounds):
         if bound > cutoff:
             stats.pruned += len(bounds) - position
             break
-        try:
-            distance, plan = emd_exact(query_hist, entry.hist, cost, cutoff=cutoff)
-        except _StoppedEarly as stopped:
-            stats.early_stopped += 1
-            stats.pivots += stopped.pivots
-            continue
-        stats.exact_evaluations += 1
-        stats.pivots += plan.pivots
-        evaluated.append((distance, doc_id))
+        if keep is None or keep(doc_id):
+            try:
+                value, plan = emd_exact(query_hist, entry.hist, cost, cutoff=cutoff)
+            except _StoppedEarly as stopped:
+                stats.early_stopped += 1
+                stats.pivots += stopped.pivots
+                continue
+            stats.exact_evaluations += 1
+            stats.pivots += plan.pivots
+            kept.append((value, doc_id))
+        else:
+            weights = query_hist.weights, entry.hist.weights
+            if cutoff < np.inf and _reduction_bound(*weights, cost.values) > cutoff:
+                stats.early_stopped += 1
+                continue
+            _, value = _greedy_arcs(*weights, cost.values)
+            stats.held += 1
+            held.append((bound, doc_id, value, entry, cost))
         if len(best_heap) < k:
-            heapq.heappush(best_heap, -distance)
-        elif distance < -best_heap[0]:
-            heapq.heapreplace(best_heap, -distance)
+            heapq.heappush(best_heap, -value)
+        elif value < -best_heap[0]:
+            heapq.heapreplace(best_heap, -value)
         if len(best_heap) == k:
             cutoff = -best_heap[0] + _PRUNE_SLACK
-    evaluated.sort(key=lambda item: (item[0], item[1]))
-    return [(doc_id, distance) for distance, doc_id in evaluated[:k]]
 
+    # Certify each kept hit's rank: count the documents before it, up to k.
+    # Pruned and stopped candidates lie beyond the cutoff, so after any hit
+    # within it; kept hits and held candidates are counted here.
+    kept.sort()
+    hits = []
+    # held position -> (distance, True), or (the cutoff its solve stopped at, False)
+    settled: dict[int, tuple[float, bool]] = {}
+    for ahead_kept, (distance, doc_id) in enumerate(kept):
+        if distance > cutoff:
+            break
+        ahead = ahead_kept
+        limit = distance + _PRUNE_SLACK
+        for position, (bound, other_id, upper, entry, cost) in enumerate(held):
+            if ahead >= k or bound > limit:
+                break
+            if upper < distance - _PRUNE_SLACK:
+                ahead += 1
+                continue
+            value, exact = settled.get(position, (-np.inf, False))
+            if not exact and value < limit:
+                stats.certified += 1
+                try:
+                    value, plan = emd_exact(query_hist, entry.hist, cost, cutoff=limit)
+                    stats.pivots += plan.pivots
+                    exact = True
+                except _StoppedEarly as stopped:
+                    stats.pivots += stopped.pivots
+                    value = limit
+                settled[position] = value, exact
+            if exact and (value, other_id) < (distance, doc_id):
+                ahead += 1
+        if ahead >= k:
+            break  # every later hit has at least as many documents before it
+        hits.append((doc_id, distance))
+    return hits

@@ -4,7 +4,9 @@ For each test-side recipe, retrieve the top-k train-side recipes by an
 instruction-text measure (mover distance at 3-gram or word granularity, or
 a tf-idf cosine baseline), then keep pairs whose ingredients distance passes
 the annotation filter. All methods share the split, width folding, and
-filter logic; only the instruction measure differs.
+filter logic; only the instruction measure differs. The mover search takes
+the filter as a predicate and solves to the optimum only the hits it keeps;
+the others are only ranked.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import json
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,7 +184,18 @@ def tfidf_similarities(query: TokenSeq, index: TfidfIndex) -> dict[str, float]:
 
 # --- retrieval ---------------------------------------------------------------
 
-Retriever = Callable[[TokenSeq], list[tuple[str, float]]]
+
+class Query(NamedTuple):
+    """One test recipe as a retriever sees it: its instruction tokens, and
+    the ingredients filter as a predicate on train doc ids. A retriever may
+    use `keep` to spend less work on hits the filter drops; it may also
+    ignore it, since every hit is filtered again."""
+
+    tokens: TokenSeq
+    keep: Callable[[str], bool]
+
+
+Retriever = Callable[[Query], list[tuple[str, float]]]
 
 
 def _tfidf_retriever(
@@ -189,8 +203,8 @@ def _tfidf_retriever(
 ) -> Retriever:
     index = build_tfidf_index(train_docs)
 
-    def retrieve(query: TokenSeq) -> list[tuple[str, float]]:
-        scores = tfidf_similarities(query, index)
+    def retrieve(query: Query) -> list[tuple[str, float]]:
+        scores = tfidf_similarities(query.tokens, index)
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
         return [(doc_id, 1.0 - similarity) for doc_id, similarity in ranked]
 
@@ -258,8 +272,8 @@ def extract_candidates(
             raise ValueError(f"method {method!r} requires an embedding table")
         index = build_index(train_docs, table, metric)
 
-        def retrieve(query: TokenSeq) -> list[tuple[str, float]]:
-            return topk_query(query, index, k, stats=stats.search)
+        def retrieve(query: Query) -> list[tuple[str, float]]:
+            return topk_query(query.tokens, index, k, stats=stats.search, keep=query.keep)
 
     return extract_with_retriever(
         test,
@@ -284,16 +298,28 @@ def extract_with_retriever(
     stats: ExtractionStats | None = None,
 ) -> list[CandidatePair]:
     """The retrieval loop shared by every method: query each test recipe and
-    apply the ingredients filter. Pairs come back sorted by (query id,
-    candidate id); test and train are disjoint sides of one corpus, so no
-    pair repeats. Work is counted in `stats`, a fresh `ExtractionStats` when
-    none is given."""
+    apply the ingredients filter. Each query carries the filter as its
+    `keep` predicate, so the mover search solves to the optimum only the
+    hits it keeps; the ingredients distance of a pair is computed once,
+    whether the search or the filter asks first. Pairs come back sorted by
+    (query id, candidate id); test and train are disjoint sides of one
+    corpus, so no pair repeats. Work is counted in `stats`, a fresh
+    `ExtractionStats` when none is given."""
     if stats is None:
         stats = ExtractionStats()
     pairs = []
     for recipe in test:
         stats.queries_total += 1
-        query = instruction_tokens(recipe, granularity)
+
+        @cache
+        def ingredients_to(candidate_id: str) -> int:
+            original = train.get(candidate_id)
+            return ingredients_distance(original.ingredients, recipe.ingredients, ingredient_table)
+
+        def keep(candidate_id: str) -> bool:
+            return passes_annotation_filter(ingredients_to(candidate_id), threshold)
+
+        query = Query(instruction_tokens(recipe, granularity), keep)
         try:
             hits = retrieve(query)
         except ValueError as error:
@@ -301,18 +327,14 @@ def extract_with_retriever(
             stats.queries_skipped.append(recipe.id)
             continue
         for candidate_id, distance in hits:
-            original = train.get(candidate_id)
-            ing_dist = ingredients_distance(
-                original.ingredients, recipe.ingredients, ingredient_table
-            )
-            if passes_annotation_filter(ing_dist, threshold):
+            if keep(candidate_id):
                 pairs.append(
                     CandidatePair(
                         query_id=recipe.id,
                         candidate_id=candidate_id,
                         method=method,
                         instruction_distance=float(distance),
-                        ingredients_distance=ing_dist,
+                        ingredients_distance=ingredients_to(candidate_id),
                     )
                 )
     return sorted(pairs, key=lambda p: (p.query_id, p.candidate_id))

@@ -12,7 +12,10 @@ cosine of two documents is built from dense per-document weight dicts.
 None of it shares code with the package under test, except the exhaustive
 top-k reference, which ranks the package's own pairwise mover distance so
 that a pruned search can be compared with solving every pair to the end,
-and the ground-truth reader, which builds the package's `PlantedPair`.
+the ingredients distance reference, which repeats the package's procedure
+with the package's canonicalization and neighbor search but remembers
+nothing between calls, and the ground-truth reader, which builds the
+package's `PlantedPair`.
 """
 from __future__ import annotations
 
@@ -20,9 +23,12 @@ import itertools
 import json
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 
+from gram_mover.embed import nearest_neighbors
+from gram_mover.ingredients import SIMILAR_TOP_K, canonicalize_list
 from gram_mover.mover import mover_distance
 from gram_mover.synth import PlantedPair
 
@@ -314,6 +320,44 @@ def exhaustive_topk(query, docs, table, metric, k):
         (mover_distance(query, tokens, table, metric), doc_id) for doc_id, tokens in docs
     )
     return [(doc_id, distance) for distance, doc_id in ranked[:k]]
+
+
+def uncached_ingredients_distance(a, b, table=None):
+    """`ingredients.ingredients_distance` as it stood before it remembered
+    anything: canonicalize both lists, cancel exact matches with multiset
+    semantics, then cancel each remaining item of b, in order, against the
+    earliest remaining item of a among its top similar words, and count
+    what is left on both sides. Every call canonicalizes and queries the
+    neighbors afresh."""
+    rest_a = canonicalize_list(a)
+    rest_b = canonicalize_list(b)
+
+    count_b = Counter(rest_b)
+    survivors_a = []
+    for item in rest_a:
+        if count_b.get(item, 0) > 0:
+            count_b[item] -= 1
+        else:
+            survivors_a.append(item)
+    survivors_b = []
+    leftover = dict(count_b)
+    for item in rest_b:
+        if leftover.get(item, 0) > 0:
+            leftover[item] -= 1
+            survivors_b.append(item)
+
+    if table is not None:
+        unmatched_b = []
+        for item in survivors_b:
+            neighbors = {token for token, _ in nearest_neighbors(table, item, SIMILAR_TOP_K)}
+            hit = next((i for i, name in enumerate(survivors_a) if name in neighbors), None)
+            if hit is None:
+                unmatched_b.append(item)
+            else:
+                del survivors_a[hit]
+        survivors_b = unmatched_b
+
+    return len(survivors_a) + len(survivors_b)
 
 
 def load_truth(path):

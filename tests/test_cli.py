@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -603,6 +604,16 @@ class TestFullChain:
         found = {(pair.query_id, pair.candidate_id) for pair in pairs}
         hits = sum((pair.test_id, pair.train_id) in found for pair in truth)
         assert hits >= len(truth) - 1
+
+    def test_extract_log_reports_the_search_work(self, chain, caplog):
+        before = (chain / "candidates-gram3-sgns.jsonl").read_bytes()
+        with caplog.at_level("INFO"):
+            assert run("extract-candidates", "--corpus", chain / "corpus.jsonl", "--out", chain, "--k", 5) == 0
+        line = next(r.getMessage() for r in caplog.records if "candidate pairs from" in r.getMessage())
+        assert re.search(
+            r"\d+ exact distance evaluations, \d+ stopped early, \d+ held, \d+ certified, \d+ pivots", line
+        ), line
+        assert (chain / "candidates-gram3-sgns.jsonl").read_bytes() == before
 
     def test_baseline_candidates_parse(self, chain):
         pairs = load_pairs(chain / "candidates-tfidf-baseline.jsonl")

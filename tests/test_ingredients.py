@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table
+from oracles import uncached_ingredients_distance
 from gram_mover.ingredients import (
     ANNOTATION_THRESHOLD,
     canonicalize_ingredient,
@@ -132,6 +134,40 @@ class TestProperties:
     def test_shared_extra_never_increases(self, a, b, extra):
         base = ingredients_distance(a, b)
         assert ingredients_distance(a + [extra], b + [extra]) <= base
+
+
+# one vocabulary, two tables that disagree on which names are similar
+SIMILAR_NAMES = ["ニンジン", "タマネギ", "塩", "水", "豆腐", "X", "Y"]
+TABLES = [
+    make_table({name: np.random.default_rng(seed).normal(size=3) for name in SIMILAR_NAMES})
+    for seed in (0, 1)
+]
+raw_lists = st.lists(
+    st.sampled_from(SIMILAR_NAMES + ["にんじん", "たまねぎ（中）", "（飾り用）", "塩!", "Z"]),
+    max_size=6,
+)
+
+
+class TestMemoized:
+    """`ingredients_distance` remembers canonical lists and, per table,
+    similar-word sets; the answers stay those of the uncached procedure."""
+
+    @settings(max_examples=60)
+    @given(pairs=st.lists(st.tuples(raw_lists, raw_lists), min_size=1, max_size=4))
+    def test_equals_the_uncached_reference(self, pairs):
+        for _ in range(2):  # the second round reads what the first remembered
+            for a, b in pairs:
+                for table in (*TABLES, None):  # two tables in turn, then none
+                    assert ingredients_distance(a, b, table) == uncached_ingredients_distance(a, b, table)
+
+    def test_remembered_neighbors_are_per_table(self):
+        near = make_table({"X": [1.0, 0.0], "Y": [0.9, 0.436]})
+        far = make_table(
+            {"X": [1.0, 0.0], "Y": [0.0, 1.0], "D1": [0.1, 1.0], "D2": [-0.1, 1.0], "D3": [0.2, 1.0]}
+        )
+        for _ in range(2):
+            assert ingredients_distance(["X"], ["Y"], near) == 0
+            assert ingredients_distance(["X"], ["Y"], far) == 2
 
 
 class TestAnnotationFilter:

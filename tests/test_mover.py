@@ -335,7 +335,8 @@ def _start_instance(rng, kind):
 
 class TestStartTree:
     """The greedy start is a spanning tree rooted at the one line it leaves
-    open, with a feasible flow and potentials tight on its arcs."""
+    open, with a feasible flow and potentials tight on its arcs; the cost the
+    greedy scan sums is that flow's cost, so it bounds the optimum."""
 
     @settings(deadline=None, max_examples=80)
     @given(seed=seeds, kind=st.sampled_from(["any", "self", "row", "column"]))
@@ -344,7 +345,8 @@ class TestStartTree:
         a, b, cost = _start_instance(rng, kind)
         values = cost.values
         m, n = values.shape
-        parent, flow_up, depth, children, potential = mover._start_tree(a.weights, b.weights, values)
+        arcs, upper = mover._greedy_arcs(a.weights, b.weights, values)
+        parent, flow_up, depth, children, potential = mover._start_tree(arcs, values)
 
         assert parent.count(-1) == 1  # every line but the root has a parent: m + n - 1 arcs
         root = parent.index(-1)
@@ -368,6 +370,8 @@ class TestStartTree:
         assert np.all(flow >= 0)
         np.testing.assert_allclose(flow.sum(axis=1), a.weights, rtol=0, atol=1e-9)
         np.testing.assert_allclose(flow.sum(axis=0), b.weights, rtol=0, atol=1e-9)
+        assert upper == pytest.approx(float((flow * values).sum()), rel=1e-12, abs=1e-15)
+        assert upper >= emd_exact(a, b, cost)[0] - 1e-12
         if kind == "self":  # the cost-0 diagonal comes first: the start is optimal
             assert float((flow * values).sum()) == 0.0
 
@@ -494,6 +498,7 @@ class TestTopkQuery:
         assert stats.bound_computations == 120
         assert stats.exact_evaluations < 120
         assert stats.pruned == 120 - stats.exact_evaluations - stats.early_stopped
+        assert stats.held == stats.certified == 0  # without `keep` every candidate is kept
 
     @settings(deadline=None, max_examples=25)
     @example(seed=134)  # Euclidean k=2: pruning without slack dropped a tie
@@ -520,7 +525,7 @@ class TestTopkQuery:
                 pruned = topk_query(query, index, k, stats=stats)
                 assert pruned == exhaustive_topk(query, docs, table, metric, k), (metric, k)
                 assert stats.bound_computations == (
-                    stats.exact_evaluations + stats.early_stopped + stats.pruned
+                    stats.exact_evaluations + stats.early_stopped + stats.pruned + stats.held
                 )
 
     @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN])
@@ -535,8 +540,91 @@ class TestTopkQuery:
         assert stats.early_stopped > 0
         assert stats.bound_computations == 10 * 80
         assert stats.bound_computations == (
-            stats.exact_evaluations + stats.early_stopped + stats.pruned
+            stats.exact_evaluations + stats.early_stopped + stats.pruned + stats.held
         )
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=seeds,
+        decimals=st.sampled_from([1, 2]),
+        kept=st.sampled_from(["nothing", "everything", "random"]),
+    )
+    def test_keep_equals_exhaustive_then_filter_under_heavy_ties(self, seed, decimals, kept):
+        # vectors rounded to one or two decimals and documents drawn from a
+        # small pool make many equal distances between distinct doc ids
+        rng = np.random.default_rng(seed)
+        vectors = np.round(rng.uniform(-1, 1, size=(6, 3)), decimals)
+        table = make_table({f"t{i}": vectors[i] for i in range(6)})
+
+        def doc():
+            ids = rng.integers(0, 6, size=int(rng.integers(2, 7)))
+            return TokenSeq(tokens=tuple(f"t{i}" for i in ids), granularity=GRAM3)
+
+        pool = [doc() for _ in range(8)]
+        docs = [(f"d{d:02d}", pool[int(rng.integers(len(pool)))]) for d in range(40)]
+        if kept == "random":
+            chosen = {doc_id for doc_id, _ in docs if rng.random() < rng.random()}
+        else:
+            chosen = {doc_id for doc_id, _ in docs} if kept == "everything" else set()
+        query = pool[0] if rng.integers(2) else doc()
+        for metric in (COSINE, EUCLIDEAN):
+            index = build_index(docs, table, metric)
+            for k in range(1, 7):
+                stats = SearchStats()
+                hits = topk_query(query, index, k, stats=stats, keep=chosen.__contains__)
+                expected = exhaustive_topk(query, docs, table, metric, k)
+                assert hits == [hit for hit in expected if hit[0] in chosen], (metric, k)
+                assert stats.bound_computations == (
+                    stats.exact_evaluations + stats.early_stopped + stats.pruned + stats.held
+                )
+                if kept == "everything":  # the same path as without `keep`
+                    plain = SearchStats()
+                    assert topk_query(query, index, k, stats=plain) == hits
+                    assert plain == stats and stats.held == stats.certified == 0
+
+    def test_kept_hit_tied_with_a_dropped_smaller_doc_id(self):
+        # "a" and "b" hold the same tokens, so their distances tie exactly;
+        # "a" ranks first by doc id, so with k = 1 dropping it leaves no hit,
+        # and with k = 2 "b" stays. The greedy plan costs 1/3 against an
+        # optimum of 1/5, so only a certification solve can decide the tie.
+        table = make_table({"aa": [1.0, 0.0], "bb": [0.6, 0.8], "cc": [0.0, 1.0], "dd": [0.8, -0.6]})
+        query = _tokens("aa", "aa", "bb")
+        doc = _tokens("aa", "aa", "dd")
+        docs = [("b", doc), ("a", doc), ("c", _tokens("cc"))]
+        index = build_index(docs, table, COSINE)
+        drop_a = "a".__ne__
+        for k, kept in ((1, []), (2, ["b"]), (3, ["b", "c"])):
+            stats = SearchStats()
+            hits = topk_query(query, index, k, stats=stats, keep=drop_a)
+            assert hits == [hit for hit in exhaustive_topk(query, docs, table, COSINE, k) if hit[0] != "a"]
+            assert [doc_id for doc_id, _ in hits] == kept
+            assert stats.held == stats.certified == 1
+
+    def test_keep_solves_only_kept_hits(self):
+        rng = np.random.default_rng(15)
+        table, docs = _random_corpus(rng, 60)
+        index = build_index(docs, table, COSINE)
+        asked = []
+
+        def keep(doc_id):
+            asked.append(doc_id)
+            return doc_id.endswith("7")
+
+        stats = SearchStats()
+        hits = topk_query(docs[7][1], index, k=5, stats=stats, keep=keep)
+        assert hits == [h for h in exhaustive_topk(docs[7][1], docs, table, COSINE, 5) if h[0].endswith("7")]
+        assert len(asked) == len(set(asked)) == 60 - stats.pruned  # once per visited candidate
+        assert stats.exact_evaluations <= sum(doc_id.endswith("7") for doc_id in asked)
+
+    def test_euclidean_query_centroid_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        table, docs = _random_corpus(rng, 20)
+        index = build_index(docs, table, EUCLIDEAN)
+        calls = []
+        centroid = mover._centroid
+        monkeypatch.setattr(mover, "_centroid", lambda hist, table: calls.append(hist) or centroid(hist, table))
+        topk_query(docs[0][1], index, k=3)
+        assert len(calls) == 20 + 1
 
     def test_pivot_count_repeats_exactly(self):
         rng = np.random.default_rng(10)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import GRAM3, make_table
+from gram_mover import pipeline
 from gram_mover.corpus import Corpus, PairLabel, Recipe
 from gram_mover.mover import mover_distance
 from gram_mover.pipeline import (
@@ -52,7 +53,7 @@ def _measure_retriever(train, granularity, measure, k):
     docs = build_instruction_docs(train, granularity)
 
     def retrieve(query):
-        scored = sorted((measure(query, tokens), doc_id) for doc_id, tokens in docs)
+        scored = sorted((measure(query.tokens, tokens), doc_id) for doc_id, tokens in docs)
         return [(doc_id, value) for value, doc_id in scored[:k]]
 
     return retrieve
@@ -262,6 +263,31 @@ class TestExtractCandidates:
             ingredient_table=asymmetric, threshold=1,
         )
         assert reverse == []
+
+    def test_retriever_gets_the_filter_as_keep(self, monkeypatch):
+        # every train recipe is asked about, then returned: the filter runs
+        # once per candidate, and the pairs are the ones `keep` accepts
+        train = Corpus.from_recipes(
+            [_recipe(f"t{i}", "abcd", ingredients=names) for i, names in
+             enumerate([("salt",), ("salt", "egg"), ("egg", "milk", "rice"), ("salt", "a", "b", "c")])]
+        )
+        test = Corpus.from_recipes([_recipe("q1", "abcd", ingredients=("salt",), day="2016-11-02")])
+        calls = []
+        distance = pipeline.ingredients_distance
+        monkeypatch.setattr(
+            pipeline, "ingredients_distance", lambda a, b, table: calls.append(a) or distance(a, b, table)
+        )
+        decisions = {}
+
+        def retrieve(query):
+            assert query.tokens == instruction_tokens(test.get("q1"), GRAM3)
+            decisions.update((recipe.id, query.keep(recipe.id)) for recipe in train)
+            return [(recipe.id, 0.5) for recipe in train]
+
+        pairs = extract_with_retriever(test, train, METHOD_GRAM3_SGNS, GRAM3, retrieve, threshold=2)
+        assert decisions == {"t0": True, "t1": True, "t2": False, "t3": False}
+        assert [(p.candidate_id, p.ingredients_distance) for p in pairs] == [("t0", 0), ("t1", 1)]
+        assert len(calls) == len(train.recipes)
 
     def test_baseline_distance_is_one_minus_similarity(self):
         test, train, _ = _toy_split()
