@@ -34,18 +34,10 @@ from .classify import (
 from .corpus import Corpus, load_corpus, save_corpus, split_by_date
 from .embed import EmbeddingTable, SgnsConfig, Vocab, load_vectors, save_vectors, train_sgns
 from .ingredients import ANNOTATION_THRESHOLD
-from .mover import (
-    COSINE,
-    EUCLIDEAN,
-    GramHistogram,
-    MoverIndex,
-    PreparedDoc,
-    SolverError,
-    build_index,
-    topk_query,
-)
+from .mover import COSINE, METRICS, GramHistogram, MoverIndex, PreparedDoc, SolverError, build_index
 from .pipeline import (
     GRAM3,
+    GRANULARITIES,
     METHOD_TFIDF,
     ExtractionStats,
     build_instruction_docs,
@@ -55,21 +47,14 @@ from .pipeline import (
     extract_with_retriever,
     ingredient_sgns_config,
     load_pairs,
+    mover_retriever,
     save_pairs,
     train_ingredient_table,
 )
-from .synth import CUTOFF, MAX_INGREDIENTS, generate_corpus, save_truth
-from .tokenize import WORD
+from .settings import ConfigError
+from .synth import CUTOFF, check_corpus_settings, generate_corpus, save_truth
 
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(Exception):
-    """Invalid configuration; `field` names the offending setting."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 class MissingArtifact(Exception):
@@ -82,12 +67,13 @@ class MissingArtifact(Exception):
         self.producer = producer
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliConfig(SgnsConfig):
     """Every setting a subcommand reads, with its type and default; a
     config-file key or flag is named after its field. The SGNS settings,
     `seed` among them, are the fields it inherits from `SgnsConfig`, so
-    `train-embeddings` passes the whole configuration to `train_sgns`."""
+    `train-embeddings` passes the whole configuration to `train_sgns`.
+    Building one checks every field, the corpus settings by `synth`."""
 
     corpus: str | None = None
     cutoff: date = CUTOFF
@@ -104,6 +90,16 @@ class CliConfig(SgnsConfig):
     pool_size: int = 200
     typo_rate: float = 0.02
 
+    _BOUNDS = SgnsConfig._BOUNDS + (("k", ">=", 1), ("threshold", ">=", 0))
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_corpus_settings(vars(self))
+        for name, choices in (("granularity", GRANULARITIES), ("metric", METRICS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(name, f"must be {' or '.join(choices)}, got {value!r}")
+
     def out_dir(self) -> Path:
         return Path(self.out)
 
@@ -115,31 +111,12 @@ class CliConfig(SgnsConfig):
 #: each setting's type, from its annotation
 _FIELD_TYPES = get_type_hints(CliConfig)
 
-#: (comparison, bound) that each numeric setting must satisfy, except
-#: `typo_rate`, a probability, and `subsample_threshold`, which any value
-#: <= 0 turns off and only NaN fails
-_LOWER_BOUNDS = {
-    "k": (">=", 1),
-    "threshold": (">=", 0),
-    "seed": (">=", 0),
-    "dimension": (">=", 1),
-    "window": (">=", 1),
-    "negatives": (">=", 1),
-    "epochs": (">=", 1),
-    "initial_step_size": (">", 0),
-    "final_step_size": (">", 0),
-    "min_count": (">=", 1),
-    "noise_table_size": (">=", 1),
-    "train_size": (">=", 0),
-    "planted": (">=", 0),
-    "fresh": (">=", 0),
-    "pool_size": (">=", MAX_INGREDIENTS),
-}
-
 
 def read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and #-comments are skipped."""
+    """key=value lines; blank lines and #-comments are skipped. A key set on
+    two lines is an error naming both."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -151,6 +128,9 @@ def read_config_file(path: str) -> dict[str, str]:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(key, f"{path}:{line_no}: unknown setting")
+            if key in set_on:
+                raise ConfigError(key, f"{path}:{line_no}: already set on line {set_on[key]}")
+            set_on[key] = line_no
             values[key] = value.strip()
     return values
 
@@ -176,52 +156,39 @@ def _coerce(field_name: str, raw: str):
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
-    """CLI flag > config file > default, validated field by field."""
-    config = CliConfig()
+    """CLI flag > config file > default, checked as `CliConfig` is built;
+    the config file and an external embedding file must exist."""
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         if not Path(args.config).is_file():
             raise ConfigError("config", f"file not found: {args.config}")
         file_values = read_config_file(args.config)
 
+    values = {}
     for f in fields(CliConfig):
         value = getattr(args, f.name, None)
         if value is None:
             value = file_values.get(f.name)
         if value is not None:
             # flags arrive typed except `--cutoff`; file values are all strings
-            setattr(config, f.name, _coerce(f.name, value) if isinstance(value, str) else value)
-
-    _validate(config)
+            values[f.name] = _coerce(f.name, value) if isinstance(value, str) else value
+    config = CliConfig(**values)
+    if config.embedding_source != "train-sgns" and not Path(config.embedding_source).is_file():
+        raise ConfigError("embedding_source", f"file not found: {config.embedding_source}")
     return config
 
 
-def _validate(config: CliConfig) -> None:
-    if config.granularity not in (GRAM3, WORD):
-        raise ConfigError("granularity", f"must be {GRAM3} or {WORD}")
-    if config.metric not in (COSINE, EUCLIDEAN):
-        raise ConfigError("metric", f"must be {COSINE} or {EUCLIDEAN}")
-    for name, (comparison, bound) in _LOWER_BOUNDS.items():
-        value = getattr(config, name)
-        # written as "not ..." so that NaN fails too
-        if not (value > bound if comparison == ">" else value >= bound):
-            raise ConfigError(name, f"must be {comparison} {bound}")
-    if np.isnan(config.subsample_threshold):
-        raise ConfigError("subsample_threshold", "must be a number, not NaN")
-    if config.planted > config.train_size:
-        raise ConfigError("planted", f"must be <= train_size ({config.train_size})")
-    if not 0.0 <= config.typo_rate <= 1.0:
-        raise ConfigError("typo_rate", "must be in [0, 1]")
-    if config.embedding_source != "train-sgns" and not Path(config.embedding_source).is_file():
-        raise ConfigError("embedding_source", f"file not found: {config.embedding_source}")
-
-
-def _require_corpus(config: CliConfig) -> Corpus:
+def _split_corpus(config: CliConfig) -> tuple[Corpus, Corpus, Path]:
+    """The configured corpus's train and test sides, and the output
+    directory, made only once the corpus is found."""
     if not config.corpus:
         raise ConfigError("corpus", "no corpus path configured")
     if not Path(config.corpus).is_file():
         raise ConfigError("corpus", f"file not found: {config.corpus}")
-    return load_corpus(config.corpus)
+    train, test = split_by_date(load_corpus(config.corpus), config.cutoff)
+    out = config.out_dir()
+    out.mkdir(parents=True, exist_ok=True)
+    return train, test, out
 
 
 def _require_artifact(path: Path, producer: str) -> Path:
@@ -318,18 +285,30 @@ def save_index(path: Path, index: MoverIndex, granularity: str, method: str, dig
     _atomic_write(path, writer)
 
 
-#: every array `save_index` writes, in its order
-_INDEX_ARRAYS = (
-    "tokens", "vectors", "doc_ids", "offsets", "supports", "weights",
-    "skipped", "granularity", "metric", "method", "train_digest",
-)
+#: every array `save_index` writes, with its dtype kind and ndim
+_INDEX_ARRAYS = {
+    "tokens": ("U", 1), "vectors": ("f", 2), "doc_ids": ("U", 1), "offsets": ("i", 1),
+    "supports": ("i", 1), "weights": ("f", 1), "skipped": ("U", 1), "granularity": ("U", 0),
+    "metric": ("U", 0), "method": ("U", 0), "train_digest": ("u", 0),
+}
 
 
 def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Reject CSR arrays that do not fit together: one nonempty run of
-    supports and weights per doc id, with support ids inside the stored
-    vocabulary. The error names the file and the array. Each document's
-    own histogram is checked by `GramHistogram`."""
+    """Reject a missing array, an array of the wrong dtype kind or ndim,
+    and CSR arrays that do not fit together: one nonempty run of supports
+    and weights per doc id, with support ids inside the stored vocabulary.
+    The error names the file and the array. Each document's own histogram
+    is checked by `GramHistogram`."""
+    missing = [name for name in _INDEX_ARRAYS if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: missing index arrays: {', '.join(missing)}")
+    for name, (kind, ndim) in _INDEX_ARRAYS.items():
+        array = arrays[name]
+        if array.dtype.kind != kind or array.ndim != ndim:
+            raise ValueError(
+                f"{path}: {name} is a {array.ndim}-d {array.dtype} array, "
+                f"not {ndim}-d of dtype kind {kind!r}"
+            )
     tokens, doc_ids, offsets, supports, weights = (
         arrays[name] for name in ("tokens", "doc_ids", "offsets", "supports", "weights")
     )
@@ -354,13 +333,10 @@ def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
 def load_index(path: Path) -> tuple[MoverIndex, str, str, int]:
     """The index `save_index` wrote, its granularity, method and train
     digest: each document's histogram is a view into the stored CSR arrays.
-    Missing arrays, arrays that do not fit together and histograms that
+    Arrays that `_check_index_arrays` rejects and histograms that
     `GramHistogram` rejects raise ValueError naming the file."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
-    missing = [name for name in _INDEX_ARRAYS if name not in arrays]
-    if missing:
-        raise ValueError(f"{path}: missing index arrays: {', '.join(missing)}")
     _check_index_arrays(path, arrays)
     granularity = str(arrays["granularity"])
     offsets, supports, weights = arrays["offsets"], arrays["supports"], arrays["weights"]
@@ -405,10 +381,7 @@ def _cmd_synth_corpus(config: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_train_embeddings(config: CliConfig, args: argparse.Namespace) -> int:
-    corpus = _require_corpus(config)
-    train, _ = split_by_date(corpus, config.cutoff)
-    out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    train, _, out = _split_corpus(config)
 
     # both tables are trained before either is written, so a failure leaves
     # no vectors behind for the later stages to pick up
@@ -444,10 +417,7 @@ def _load_ingredient_table(out: Path) -> EmbeddingTable:
 
 
 def _cmd_build_index(config: CliConfig, args: argparse.Namespace) -> int:
-    corpus = _require_corpus(config)
-    train, _ = split_by_date(corpus, config.cutoff)
-    out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    train, _, out = _split_corpus(config)
     table = _load_instruction_table(config, out)
     index = build_index(build_instruction_docs(train, config.granularity), table, config.metric)
     path = _index_path(out, config.granularity)
@@ -459,10 +429,7 @@ def _cmd_build_index(config: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
-    corpus = _require_corpus(config)
-    train, test = split_by_date(corpus, config.cutoff)
-    out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    train, test, out = _split_corpus(config)
     index_path = _require_artifact(_index_path(out, config.granularity), "build-index")
     index, granularity, method, digest = load_index(index_path)
     for name, built, configured in (
@@ -492,16 +459,12 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     ingredient_table = _load_ingredient_table(out)
 
     stats = ExtractionStats()
-
-    def retrieve(query):
-        return topk_query(query.tokens, index, config.k, stats=stats.search, keep=query.keep)
-
     pairs = extract_with_retriever(
         test,
         train,
         method,
         granularity,
-        retrieve,
+        mover_retriever(index, config.k, stats.search),
         ingredient_table=ingredient_table,
         threshold=config.threshold,
         stats=stats,
@@ -526,10 +489,7 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(config: CliConfig, args: argparse.Namespace) -> int:
-    corpus = _require_corpus(config)
-    train, test = split_by_date(corpus, config.cutoff)
-    out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    train, test, out = _split_corpus(config)
     ingredient_table = _load_ingredient_table(out)
     stats = ExtractionStats()
     pairs = extract_candidates(
@@ -643,13 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value settings file")
     common.add_argument("--corpus", help="recipe corpus (JSON Lines)")
     common.add_argument("--cutoff", help="train/test split date (YYYY-MM-DD)")
-    common.add_argument("--granularity", choices=(GRAM3, WORD))
+    common.add_argument("--granularity", choices=GRANULARITIES)
     common.add_argument(
         "--embedding-source",
         dest="embedding_source",
         help="'train-sgns' or a path to a text-format vector file",
     )
-    common.add_argument("--metric", choices=(COSINE, EUCLIDEAN))
+    common.add_argument("--metric", choices=METRICS)
     _setting_flag(common, "k", help="retrieval depth per query")
     _setting_flag(common, "threshold", help="ingredients-distance filter")
     _setting_flag(common, "seed")
@@ -701,13 +661,9 @@ def main(argv=None) -> int:
     )
     try:
         config = resolve_config(args)
-    except ConfigError as error:
-        print(f"config error: {error}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](config, args)
     except ConfigError as error:
-        print(f"config error: {error}", file=sys.stderr)
+        print(f"config error: {error.field}: {error.reason}", file=sys.stderr)
         return 2
     except MissingArtifact as error:
         print(str(error), file=sys.stderr)

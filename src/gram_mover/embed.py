@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .settings import ConfigError, check_bounds
 from .tokenize import TokenSeq
 
 _ESCAPE_RE = re.compile(r"\\u([0-9a-fA-F]{4})")
@@ -46,8 +47,11 @@ class Vocab:
         return token in self.index
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgnsConfig:
+    """SGNS settings, checked when built against `_BOUNDS`; only NaN fails
+    `subsample_threshold`."""
+
     dimension: int = 100
     window: int = 15
     negatives: int = 5
@@ -59,16 +63,17 @@ class SgnsConfig:
     seed: int = 1
     noise_table_size: int = 10_000_000  # resolution of the noise draws; no table this size is built
 
-    def validated(self) -> "SgnsConfig":
-        for name in ("dimension", "window", "negatives", "epochs", "min_count", "noise_table_size"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("initial_step_size", "final_step_size"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+    # un-annotated, so that it is no field, flag or config-file key
+    _BOUNDS = (
+        ("dimension", ">=", 1), ("window", ">=", 1), ("negatives", ">=", 1), ("epochs", ">=", 1),
+        ("initial_step_size", ">", 0), ("final_step_size", ">", 0), ("min_count", ">=", 1),
+        ("seed", ">=", 0), ("noise_table_size", ">=", 1),
+    )
+
+    def __post_init__(self):
+        check_bounds(vars(self), self._BOUNDS)
         if np.isnan(self.subsample_threshold):
-            raise ValueError("subsample_threshold must not be NaN")
-        return self
+            raise ConfigError("subsample_threshold", "must be a number, not NaN")
 
 
 @dataclass(eq=False)
@@ -173,7 +178,6 @@ def train_sgns(documents: Sequence[TokenSeq], config: SgnsConfig) -> EmbeddingTa
     results are bitwise reproducible and do not depend on the BLAS thread
     count.
     """
-    config = config.validated()
     granularities = {doc.granularity for doc in documents if len(doc)}
     if len(granularities) > 1:
         raise ValueError(f"documents mix granularities: {sorted(granularities)}")

@@ -50,6 +50,8 @@ logger = logging.getLogger(__name__)
 
 COSINE = "cosine"
 EUCLIDEAN = "euclidean"
+#: every ground metric
+METRICS = (COSINE, EUCLIDEAN)
 
 #: cost entries below this are clamped to zero to stabilize pivoting
 COST_CLAMP = 1e-12
@@ -553,7 +555,7 @@ def build_index(
     table: EmbeddingTable,
     metric: str = COSINE,
 ) -> MoverIndex:
-    if metric not in (COSINE, EUCLIDEAN):
+    if metric not in METRICS:
         raise ValueError(f"unknown ground metric {metric!r}")
     entries = []
     skipped = []

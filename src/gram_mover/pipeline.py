@@ -28,13 +28,15 @@ from .ingredients import (
     ingredients_distance,
     passes_annotation_filter,
 )
-from .mover import COSINE, SearchStats, build_index, topk_query
+from .mover import COSINE, MoverIndex, SearchStats, build_index, topk_query
 from .textnorm import fold_width
 from .tokenize import TokenSeq, WORD, char_ngrams, gram_granularity, pretokenized, word_tokens
 
 logger = logging.getLogger(__name__)
 
 GRAM3 = gram_granularity(3)
+#: every instruction granularity
+GRANULARITIES = (GRAM3, WORD)
 
 METHOD_GRAM3_SGNS = "gram3-sgns"
 METHOD_GRAM3_EXTERNAL = "gram3-external"
@@ -211,6 +213,17 @@ def _tfidf_retriever(
     return retrieve
 
 
+def mover_retriever(index: MoverIndex, k: int, stats: SearchStats) -> Retriever:
+    """Top-k mover search over `index`, counted in `stats`; each query's
+    `keep` predicate goes to `topk_query`, which solves to the optimum only
+    the hits it keeps."""
+
+    def retrieve(query: Query) -> list[tuple[str, float]]:
+        return topk_query(query.tokens, index, k, stats=stats, keep=query.keep)
+
+    return retrieve
+
+
 def ingredient_sgns_config(seed: int = 2) -> SgnsConfig:
     """The fixed SGNS settings of the ingredient table; only the seed varies."""
     return SgnsConfig(
@@ -233,8 +246,9 @@ def train_ingredient_table(recipes: Iterable[Recipe], seed: int = 2) -> Embeddin
         names = canonicalize_list(recipe.ingredients)
         if names:
             documents.append(pretokenized(names))
+    config = ingredient_sgns_config(seed)
     try:
-        return train_sgns(documents, ingredient_sgns_config(seed))
+        return train_sgns(documents, config)
     except ValueError as error:
         raise ValueError(f"ingredient lists too degenerate to train on: {error}") from None
 
@@ -270,11 +284,7 @@ def extract_candidates(
     else:
         if table is None:
             raise ValueError(f"method {method!r} requires an embedding table")
-        index = build_index(train_docs, table, metric)
-
-        def retrieve(query: Query) -> list[tuple[str, float]]:
-            return topk_query(query.tokens, index, k, stats=stats.search, keep=query.keep)
-
+        retrieve = mover_retriever(build_index(train_docs, table, metric), k, stats.search)
     return extract_with_retriever(
         test,
         train,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .classify import LabeledExample
 from .corpus import Corpus, Recipe
+from .settings import ConfigError, check_bounds
 
 #: date separating train-side originals from test-side queries
 CUTOFF = date(2016, 10, 31)
@@ -96,6 +97,22 @@ _EXTRA_INGREDIENTS = 2
 
 #: ingredients one recipe takes at most, so the smallest usable pool size
 MAX_INGREDIENTS = max(_template_slots(template) for template in _TEMPLATES) + _EXTRA_INGREDIENTS
+
+
+#: (setting, comparison, bound) rows the corpus settings must satisfy
+CORPUS_BOUNDS = (
+    ("train_size", ">=", 0), ("planted", ">=", 0), ("fresh", ">=", 0),
+    ("pool_size", ">=", MAX_INGREDIENTS), ("typo_rate", ">=", 0.0), ("typo_rate", "<=", 1.0),
+)
+
+
+def check_corpus_settings(values: dict) -> None:
+    """Raise ConfigError naming the first corpus setting that fails its
+    `CORPUS_BOUNDS` row, or `planted` if it exceeds `train_size`."""
+    check_bounds(values, CORPUS_BOUNDS)
+    planted, train_size = values["planted"], values["train_size"]
+    if planted > train_size:
+        raise ConfigError("planted", f"must be <= train_size ({train_size}), got {planted}")
 
 
 def _render(template: tuple[str, ...], ingredients: list[str], rng: np.random.Generator) -> str:
@@ -180,17 +197,11 @@ def generate_corpus(
 ) -> tuple[Corpus, list[PlantedPair]]:
     """One corpus of `train_size` originals before the cutoff date plus
     `planted` corrupted copies and `fresh` unrelated recipes after it,
-    all deterministic in the seed."""
-    for name, value, least in (
-        ("train_size", train_size, 0),
-        ("planted", planted, 0),
-        ("fresh", fresh, 0),
-        ("pool_size", pool_size, MAX_INGREDIENTS),
-    ):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-    if planted > train_size:
-        raise ValueError("cannot plant more duplicates than train recipes")
+    all deterministic in the seed. Settings outside `CORPUS_BOUNDS`, or
+    more planted copies than train recipes, raise ConfigError."""
+    check_corpus_settings(
+        dict(train_size=train_size, planted=planted, fresh=fresh, pool_size=pool_size, typo_rate=typo_rate)
+    )
     rng = np.random.default_rng(seed)
     pool = _ingredient_pool(rng, pool_size)
 

@@ -9,7 +9,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import get_type_hints
@@ -37,7 +37,7 @@ from gram_mover.corpus import (
 from gram_mover.embed import SgnsConfig, load_vectors
 from gram_mover.mover import CostMatrix, GramHistogram, SolverError, emd_exact
 from gram_mover.pipeline import CandidatePair, load_pairs, save_pairs
-from gram_mover.synth import CUTOFF, generate_corpus
+from gram_mover.synth import CORPUS_BOUNDS, CUTOFF, generate_corpus
 from oracles import certify_optimal, load_truth
 
 SMALL_SYNTH = (
@@ -152,6 +152,16 @@ class TestConfigResolution:
             resolve_config(parse("baseline", "--config", path))
         assert err.value.field == "baseline_words"
 
+    def test_repeated_key_names_the_key_and_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "settings.cfg"
+        path.write_text("k=1\n# later\nseed=3\nk = 5\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            resolve_config(parse("report", "--config", path))
+        assert err.value.field == "k"
+        assert f"{path}:4" in err.value.reason and "line 1" in err.value.reason
+        assert run("report", "--out", tmp_path / "out", "--config", path) == 2
+        assert capsys.readouterr().err.startswith("config error: k: ")
+
     def test_unknown_key_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "settings.cfg"
         path.write_text("bogus=1\n", encoding="utf-8")
@@ -201,7 +211,7 @@ class TestConfigResolution:
 
 def _sgns_rejects(name, value) -> bool:
     try:
-        SgnsConfig(**{name: value}).validated()
+        SgnsConfig(**{name: value})
     except ValueError:
         return True
     return False
@@ -260,8 +270,8 @@ class TestOneDeclarationPerSetting:
                 with pytest.raises(ConfigError) as err:
                     resolve_config(parse("train-embeddings", "--config", path))
                 assert err.value.field == f.name
-        # every SGNS field has a bound except the seed and the subsampling threshold
-        assert rejected == {f.name for f in fields(SgnsConfig)} - {"seed", "subsample_threshold"}
+        # every SGNS field has a bound except the subsampling threshold
+        assert rejected == {f.name for f in fields(SgnsConfig)} - {"subsample_threshold"}
 
     def test_nan_subsample_threshold_is_rejected(self, tmp_path):
         assert _sgns_rejects("subsample_threshold", float("nan"))
@@ -292,6 +302,58 @@ class TestOneDeclarationPerSetting:
         assert run(command, "--out", out, flag, value) == 2
         assert f"config error: {field}: must be" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _past(comparison, bound):
+    """The value nearest `bound` that fails `comparison`, and the nearest
+    one that passes."""
+    below = bound - 1 if isinstance(bound, int) else float(np.nextafter(bound, -np.inf))
+    above = bound + 1 if isinstance(bound, int) else float(np.nextafter(bound, np.inf))
+    return {">=": (below, bound), ">": (bound, above), "<=": (above, bound)}[comparison]
+
+
+_SETTING_BOUNDS = [*CliConfig._BOUNDS, *CORPUS_BOUNDS]
+
+
+class TestBoundsTables:
+    """Each owner's bounds table is the only declaration of its settings'
+    ranges: a value just past a bound, or NaN, fails wherever the setting
+    is built, naming the field."""
+
+    def test_every_numeric_setting_is_bounded(self):
+        hints = get_type_hints(CliConfig)
+        numeric = {f.name for f in fields(CliConfig) if hints[f.name] in (int, float)}
+        assert numeric == {name for name, _, _ in _SETTING_BOUNDS} | {"subsample_threshold"}
+        assert set(SgnsConfig._BOUNDS) <= set(CliConfig._BOUNDS)
+        assert "_BOUNDS" not in {f.name for f in fields(CliConfig)}
+
+    @pytest.mark.parametrize(
+        "name,comparison,bound", _SETTING_BOUNDS, ids=[" ".join(map(str, row)) for row in _SETTING_BOUNDS]
+    )
+    def test_value_past_the_bound_or_nan_names_the_field(self, tmp_path, name, comparison, bound):
+        bad, good = _past(comparison, bound)
+        # planted 0 fits any train_size, so only the bound under test can fail
+        assert getattr(CliConfig(**{"planted": 0, name: good}), name) == good
+        builders = [lambda value: CliConfig(**{name: value})]
+        if (name, comparison, bound) in SgnsConfig._BOUNDS:
+            builders.append(lambda value: SgnsConfig(**{name: value}))
+        if (name, comparison, bound) in CORPUS_BOUNDS:
+            builders.append(lambda value: generate_corpus(**{"train_size": 3, "planted": 0, name: value}))
+        path = tmp_path / "settings.cfg"
+        for value in (bad, float("nan")):
+            for build in builders:
+                with pytest.raises(ConfigError) as err:
+                    build(value)
+                assert err.value.field == name and isinstance(err.value, ValueError)
+            path.write_text(f"{name}={value!r}\n", encoding="utf-8")
+            with pytest.raises(ConfigError) as err:
+                resolve_config(parse("report", "--config", path))
+            assert err.value.field == name
+
+    def test_configs_are_frozen(self):
+        for config in (SgnsConfig(), CliConfig()):
+            with pytest.raises(FrozenInstanceError):
+                config.seed = 2
 
 
 class TestThreadsFlag:
@@ -721,6 +783,17 @@ def _weights_missing(arrays):
     del arrays["weights"]
 
 
+def _as(name, dtype):
+    def change(arrays):
+        arrays[name] = arrays[name].astype(dtype)
+
+    return change
+
+
+def _train_digest_1d(arrays):
+    arrays["train_digest"] = arrays["train_digest"].reshape(1)
+
+
 def _doc_id_repeated(arrays):
     """The first document stored a second time, so every train id is still
     indexed, one of them twice."""
@@ -745,12 +818,18 @@ class TestExtractionChecks:
             (_vectors_one_row_short, "vectors"),
             (_token_repeated, "tokens"),
             (_weights_missing, "weights"),
+            (_as("supports", np.float64), "supports"),
+            (_as("offsets", np.float64), "offsets"),
+            (_as("vectors", str), "vectors"),
+            (_as("weights", str), "weights"),
+            (_train_digest_1d, "train_digest"),
             (lambda arrays: None, None),
         ],
         ids=[
             "supports", "doc_ids", "offsets", "weights", "weight not positive",
             "empty document", "support id repeated", "vectors", "tokens", "weights missing",
-            "untouched",
+            "float supports", "float offsets", "string vectors", "string weights",
+            "1-d train_digest", "untouched",
         ],
     )
     def test_corrupt_index_arrays_are_rejected(self, chain, tmp_path, capsys, corrupt, array):

@@ -87,6 +87,12 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError, match=f"^{name} must be >= "):
             generate_corpus(**dict(SMALL, **{name: value}))
 
+    @pytest.mark.parametrize("rate", [1.5, -0.5, float("nan")])
+    def test_typo_rate_outside_zero_one_rejected_by_name(self, rate):
+        with pytest.raises(ValueError, match="^typo_rate must be ") as err:
+            generate_corpus(**dict(SMALL, typo_rate=rate))
+        assert err.value.field == "typo_rate"
+
     def test_smallest_pool_serves_the_largest_recipe(self):
         corpus, _ = generate_corpus(**dict(SMALL, pool_size=MAX_INGREDIENTS))
         assert max(len(recipe.ingredients) for recipe in corpus) == MAX_INGREDIENTS
