@@ -16,6 +16,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import fields
 
 from gram_mover.corpus import split_by_date
 from gram_mover.embed import SgnsConfig, train_sgns
@@ -29,7 +30,7 @@ from gram_mover.pipeline import (
     extract_candidates,
     train_ingredient_table,
 )
-from gram_mover.synth import CUTOFF, generate_corpus
+from gram_mover.synth import CUTOFF, CorpusConfig, generate_corpus
 from gram_mover.tokenize import WORD
 
 logger = logging.getLogger("run_planted_experiment")
@@ -38,11 +39,8 @@ logger = logging.getLogger("run_planted_experiment")
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--train-size", type=int, default=940)
-    parser.add_argument("--planted", type=int, default=50)
-    parser.add_argument("--fresh", type=int, default=10)
-    parser.add_argument("--pool-size", type=int, default=200)
-    parser.add_argument("--typo-rate", type=float, default=0.02)
+    for f in fields(CorpusConfig):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     parser.add_argument("--dimension", type=int, default=50)
     parser.add_argument("--window", type=int, default=5)
     parser.add_argument("--epochs", type=int, default=5)
@@ -102,12 +100,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
 
     corpus, truth = generate_corpus(
-        seed=args.seed,
-        train_size=args.train_size,
-        planted=args.planted,
-        fresh=args.fresh,
-        pool_size=args.pool_size,
-        typo_rate=args.typo_rate,
+        seed=args.seed, **{f.name: getattr(args, f.name) for f in fields(CorpusConfig)}
     )
     train, test = split_by_date(corpus, CUTOFF)
     typo_subset = [t for t in truth if t.typo_count >= 1]

@@ -52,7 +52,7 @@ from .pipeline import (
     train_ingredient_table,
 )
 from .settings import ConfigError
-from .synth import CUTOFF, check_corpus_settings, generate_corpus, save_truth
+from .synth import CUTOFF, CorpusConfig, generate_corpus, save_truth
 
 logger = logging.getLogger(__name__)
 
@@ -68,12 +68,12 @@ class MissingArtifact(Exception):
 
 
 @dataclass(frozen=True)
-class CliConfig(SgnsConfig):
+class CliConfig(CorpusConfig, SgnsConfig):
     """Every setting a subcommand reads, with its type and default; a
     config-file key or flag is named after its field. The SGNS settings,
-    `seed` among them, are the fields it inherits from `SgnsConfig`, so
-    `train-embeddings` passes the whole configuration to `train_sgns`.
-    Building one checks every field, the corpus settings by `synth`."""
+    `seed` among them, come from `SgnsConfig`, so `train-embeddings` passes
+    the whole configuration to `train_sgns`, and the corpus settings from
+    `CorpusConfig`. Building one checks every field."""
 
     corpus: str | None = None
     cutoff: date = CUTOFF
@@ -84,17 +84,12 @@ class CliConfig(SgnsConfig):
     threshold: int = ANNOTATION_THRESHOLD
     out: str = "out"
     baseline_words: bool = False
-    train_size: int = 940
-    planted: int = 50
-    fresh: int = 10
-    pool_size: int = 200
-    typo_rate: float = 0.02
 
     _BOUNDS = SgnsConfig._BOUNDS + (("k", ">=", 1), ("threshold", ">=", 0))
 
     def __post_init__(self):
-        super().__post_init__()
-        check_corpus_settings(vars(self))
+        SgnsConfig.__post_init__(self)
+        CorpusConfig.__post_init__(self)
         for name, choices in (("granularity", GRANULARITIES), ("metric", METRICS)):
             value = getattr(self, name)
             if value not in choices:
@@ -113,25 +108,28 @@ _FIELD_TYPES = get_type_hints(CliConfig)
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and #-comments are skipped. A key set on
-    two lines is an error naming both."""
+    """key=value lines of UTF-8 text; blank lines and #-comments are
+    skipped. A key set on two lines is an error naming both."""
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError("config", f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(key, f"{path}:{line_no}: unknown setting")
-            if key in set_on:
-                raise ConfigError(key, f"{path}:{line_no}: already set on line {set_on[key]}")
-            set_on[key] = line_no
-            values[key] = value.strip()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise ConfigError("config", f"{path}: not UTF-8 text ({error})") from None
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError("config", f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(key, f"{path}:{line_no}: unknown setting")
+        if key in set_on:
+            raise ConfigError(key, f"{path}:{line_no}: already set on line {set_on[key]}")
+        set_on[key] = line_no
+        values[key] = value.strip()
     return values
 
 
@@ -365,12 +363,7 @@ def _cmd_synth_corpus(config: CliConfig, args: argparse.Namespace) -> int:
     out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     corpus, truth = generate_corpus(
-        seed=config.seed,
-        train_size=config.train_size,
-        planted=config.planted,
-        fresh=config.fresh,
-        pool_size=config.pool_size,
-        typo_rate=config.typo_rate,
+        seed=config.seed, **{f.name: getattr(config, f.name) for f in fields(CorpusConfig)}
     )
     _atomic_write(out / "corpus.jsonl", lambda tmp: save_corpus(corpus, tmp))
     _atomic_write(out / "truth.jsonl", lambda tmp: save_truth(truth, tmp))
@@ -535,13 +528,11 @@ def _cmd_classify(config: CliConfig, args: argparse.Namespace) -> int:
         pairs.extend(load_pairs(path))
     examples = examples_from_pairs(pairs)
     if not examples:
-        print("no labeled pairs to classify", file=sys.stderr)
-        return 1
+        raise ValueError("no labeled pairs to classify")
     try:
         balanced = undersample(examples, seed=config.seed)
     except ValueError as error:
-        print(f"cannot undersample: {error}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot undersample: {error}") from None
 
     summary: dict = {"examples": len(examples), "balanced": len(balanced), "models": {}}
     lines = ["model  F1  Recall  Precision  hyperparameters"]
@@ -639,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     synth_parser = sub.add_parser("synth-corpus", parents=[common], help="generate the planted-duplicate corpus")
-    for name in ("train_size", "planted", "fresh", "pool_size", "typo_rate"):
-        _setting_flag(synth_parser, name)
+    for f in fields(CorpusConfig):
+        _setting_flag(synth_parser, f.name)
     sub.add_parser("train-embeddings", parents=[common], help="train instruction and ingredient embeddings")
     sub.add_parser("build-index", parents=[common], help="prepare train-side histograms for search")
     sub.add_parser("extract-candidates", parents=[common], help="mover-distance retrieval + ingredients filter")

@@ -200,9 +200,18 @@ class Query(NamedTuple):
 Retriever = Callable[[Query], list[tuple[str, float]]]
 
 
+def _check_retrieval(k: int, documents: int) -> None:
+    # a bad depth or an empty index fails every query alike: raise before the first
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if documents == 0:
+        raise ValueError("the index holds no documents")
+
+
 def _tfidf_retriever(
     train_docs: Sequence[tuple[str, TokenSeq]], k: int
 ) -> Retriever:
+    _check_retrieval(k, len(train_docs))
     index = build_tfidf_index(train_docs)
 
     def retrieve(query: Query) -> list[tuple[str, float]]:
@@ -217,6 +226,7 @@ def mover_retriever(index: MoverIndex, k: int, stats: SearchStats) -> Retriever:
     """Top-k mover search over `index`, counted in `stats`; each query's
     `keep` predicate goes to `topk_query`, which solves to the optimum only
     the hits it keeps."""
+    _check_retrieval(k, len(index.entries))
 
     def retrieve(query: Query) -> list[tuple[str, float]]:
         return topk_query(query.tokens, index, k, stats=stats, keep=query.keep)

@@ -106,13 +106,25 @@ CORPUS_BOUNDS = (
 )
 
 
-def check_corpus_settings(values: dict) -> None:
-    """Raise ConfigError naming the first corpus setting that fails its
-    `CORPUS_BOUNDS` row, or `planted` if it exceeds `train_size`."""
-    check_bounds(values, CORPUS_BOUNDS)
-    planted, train_size = values["planted"], values["train_size"]
-    if planted > train_size:
-        raise ConfigError("planted", f"must be <= train_size ({train_size}), got {planted}")
+@dataclass(frozen=True)
+class CorpusConfig:
+    """The settings of the planted-duplicate corpus, checked when built:
+    each against its `CORPUS_BOUNDS` row, then `planted` against
+    `train_size`."""
+
+    train_size: int = 940
+    planted: int = 50
+    fresh: int = 10
+    pool_size: int = 200
+    typo_rate: float = 0.02
+
+    def __post_init__(self):
+        # by name, not through `self`: a subclass may carry bounds of its own
+        check_bounds(vars(self), CORPUS_BOUNDS)
+        if self.planted > self.train_size:
+            raise ConfigError(
+                "planted", f"must be <= train_size ({self.train_size}), got {self.planted}"
+            )
 
 
 def _render(template: tuple[str, ...], ingredients: list[str], rng: np.random.Generator) -> str:
@@ -187,34 +199,26 @@ def _flip_one_mention(recipe: Recipe, rng: np.random.Generator) -> str:
     return " ".join(tokens)
 
 
-def generate_corpus(
-    seed: int = 7,
-    train_size: int = 940,
-    planted: int = 50,
-    fresh: int = 10,
-    pool_size: int = 200,
-    typo_rate: float = 0.02,
-) -> tuple[Corpus, list[PlantedPair]]:
+def generate_corpus(seed: int = 7, **settings) -> tuple[Corpus, list[PlantedPair]]:
     """One corpus of `train_size` originals before the cutoff date plus
     `planted` corrupted copies and `fresh` unrelated recipes after it,
-    all deterministic in the seed. Settings outside `CORPUS_BOUNDS`, or
-    more planted copies than train recipes, raise ConfigError."""
-    check_corpus_settings(
-        dict(train_size=train_size, planted=planted, fresh=fresh, pool_size=pool_size, typo_rate=typo_rate)
-    )
+    all deterministic in the seed. `settings` are `CorpusConfig` fields,
+    the rest at their defaults; a value that config rejects raises
+    ConfigError."""
+    config = CorpusConfig(**settings)
     rng = np.random.default_rng(seed)
-    pool = _ingredient_pool(rng, pool_size)
+    pool = _ingredient_pool(rng, config.pool_size)
 
     recipes = []
-    for i in range(train_size):
+    for i in range(config.train_size):
         published = _TRAIN_START + timedelta(days=int(rng.integers(0, _TRAIN_DAYS)))
         recipes.append(_make_recipe(f"train-{i:04d}", published, pool, rng))
 
-    originals = [recipes[i] for i in rng.choice(train_size, size=planted, replace=False)]
+    originals = [recipes[i] for i in rng.choice(config.train_size, size=config.planted, replace=False)]
     truth = []
     for i, original in enumerate(originals):
         flipped = _flip_one_mention(original, rng)
-        corrupted, typo_count = _inject_typos(flipped, rng, typo_rate)
+        corrupted, typo_count = _inject_typos(flipped, rng, config.typo_rate)
         published = _TEST_START + timedelta(days=int(rng.integers(0, _TEST_DAYS)))
         recipes.append(
             Recipe(
@@ -229,7 +233,7 @@ def generate_corpus(
             PlantedPair(test_id=f"test-dup-{i:02d}", train_id=original.id, typo_count=typo_count)
         )
 
-    for i in range(fresh):
+    for i in range(config.fresh):
         published = _TEST_START + timedelta(days=int(rng.integers(0, _TEST_DAYS)))
         recipes.append(_make_recipe(f"test-new-{i:02d}", published, pool, rng))
 

@@ -37,7 +37,7 @@ from gram_mover.corpus import (
 from gram_mover.embed import SgnsConfig, load_vectors
 from gram_mover.mover import CostMatrix, GramHistogram, SolverError, emd_exact
 from gram_mover.pipeline import CandidatePair, load_pairs, save_pairs
-from gram_mover.synth import CORPUS_BOUNDS, CUTOFF, generate_corpus
+from gram_mover.synth import CORPUS_BOUNDS, CUTOFF, CorpusConfig, generate_corpus
 from oracles import certify_optimal, load_truth
 
 SMALL_SYNTH = (
@@ -177,6 +177,16 @@ class TestConfigResolution:
             resolve_config(parse("report", "--config", path))
         assert err.value.field == "config"
 
+    def test_config_file_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "settings.cfg"
+        path.write_bytes(b"k=\xff\xfe\n")
+        with pytest.raises(ConfigError) as err:
+            resolve_config(parse("report", "--config", path))
+        assert err.value.field == "config"
+        assert err.value.reason.startswith(f"{path}: not UTF-8 text")
+        assert run("report", "--out", tmp_path / "out", "--config", path) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config: {path}: not UTF-8 text")
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError) as err:
             resolve_config(parse("report", "--config", "no-such.cfg"))
@@ -249,6 +259,14 @@ class TestOneDeclarationPerSetting:
         for name, value in expected.items():
             assert getattr(config, name) == value, name
             assert isinstance(getattr(config, name), hints[name]), name
+
+    def test_synth_corpus_flags_are_the_corpus_fields_of_their_type(self):
+        hints = get_type_hints(CorpusConfig)
+        only_synth = set(vars(parse("synth-corpus"))) - set(vars(parse("train-embeddings")))
+        assert only_synth == {f.name for f in fields(CorpusConfig)}
+        for f in fields(CorpusConfig):
+            value = getattr(parse("synth-corpus", f"--{f.name.replace('_', '-')}", 3), f.name)
+            assert type(value) is hints[f.name] and value == 3, f.name
 
     def test_every_sgns_field_but_seed_has_a_flag_of_its_type(self):
         hints = get_type_hints(SgnsConfig)
@@ -338,6 +356,7 @@ class TestBoundsTables:
         if (name, comparison, bound) in SgnsConfig._BOUNDS:
             builders.append(lambda value: SgnsConfig(**{name: value}))
         if (name, comparison, bound) in CORPUS_BOUNDS:
+            builders.append(lambda value: CorpusConfig(**{"planted": 0, name: value}))
             builders.append(lambda value: generate_corpus(**{"train_size": 3, "planted": 0, name: value}))
         path = tmp_path / "settings.cfg"
         for value in (bad, float("nan")):
@@ -354,6 +373,9 @@ class TestBoundsTables:
         for config in (SgnsConfig(), CliConfig()):
             with pytest.raises(FrozenInstanceError):
                 config.seed = 2
+        for config in (CorpusConfig(), CliConfig()):
+            with pytest.raises(FrozenInstanceError):
+                config.planted = 2
 
 
 class TestThreadsFlag:

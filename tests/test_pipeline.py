@@ -209,6 +209,28 @@ class TestExtractCandidates:
         assert stats.queries_total == 1
         assert stats.queries_skipped == ["q9"]
 
+    @pytest.mark.parametrize("method", [METHOD_GRAM3_SGNS, METHOD_TFIDF])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_depth_below_one_raises_before_any_query(self, method, k):
+        test, train, table = _toy_split()
+        stats = ExtractionStats()
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            extract_candidates(test, train, method, table=table, k=k, stats=stats)
+        assert stats.queries_total == 0 and stats.queries_skipped == []
+
+    def test_index_of_no_documents_raises_before_any_query(self):
+        test, train, _ = _toy_split()
+        table = _gram_table("zzzzzz")  # embeds no gram of any train text
+        stats = ExtractionStats()
+        with pytest.raises(ValueError, match="holds no documents"):
+            extract_candidates(test, train, METHOD_GRAM3_SGNS, table=table, stats=stats)
+        assert stats.queries_total == 0 and stats.queries_skipped == []
+
+    def test_tfidf_over_no_train_recipes_raises(self):
+        test, _, _ = _toy_split()
+        with pytest.raises(ValueError, match="holds no documents"):
+            extract_candidates(test, Corpus.from_recipes([]), METHOD_TFIDF)
+
     def test_returned_distances_are_k_smallest(self):
         test, train, table = _toy_split()
         k = 2

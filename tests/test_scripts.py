@@ -1,15 +1,21 @@
 """Smoke runs of the study scripts under scripts/ and of README's Library
-example, which no other test imports: they call the package's public
-functions and break silently when a signature changes."""
+example and Quick start commands, which no other test imports: they call
+the package's public functions and flags, and break silently when a
+signature or a flag changes."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import re
+import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+
+from gram_mover.cli import build_parser
+from gram_mover.synth import CorpusConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -38,6 +44,12 @@ def test_planted_experiment_runs_every_method(tmp_path, capsys):
     assert "gram3-sgns" in capsys.readouterr().out
 
 
+def test_planted_experiment_corpus_defaults_are_corpus_config_defaults():
+    args = vars(_load("run_planted_experiment").parse_args([]))
+    defaults = asdict(CorpusConfig())
+    assert {name: args[name] for name in defaults} == defaults
+
+
 def test_classifier_study_runs_both_model_kinds(tmp_path, capsys):
     script = _load("run_classifier_study")
     out = tmp_path / "result.json"
@@ -63,3 +75,17 @@ def test_readme_library_example_runs():
     query = names["char_ngrams"]("にんじんを切る", 3)
     doc = dict(names["docs"])[best_id]
     assert names["mover_distance"](query, doc, names["table"]) == pytest.approx(best, abs=1e-12)
+
+
+def test_readme_quick_start_commands_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", quick_start, re.DOTALL).group(1)
+    commands = [
+        shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("gram-mover ")
+    ]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
