@@ -20,6 +20,7 @@ from dataclasses import fields
 
 from gram_mover.corpus import split_by_date
 from gram_mover.embed import SgnsConfig, train_sgns
+from gram_mover.mover import build_index
 from gram_mover.pipeline import (
     GRAM3,
     METHOD_GRAM3_SGNS,
@@ -27,7 +28,9 @@ from gram_mover.pipeline import (
     METHOD_WORD_SGNS,
     ExtractionStats,
     build_instruction_docs,
-    extract_candidates,
+    extract_with_retriever,
+    mover_retriever,
+    tfidf_retriever,
     train_ingredient_table,
 )
 from gram_mover.synth import CUTOFF, CorpusConfig, generate_corpus
@@ -70,16 +73,23 @@ def train_table(train, granularity: str, args: argparse.Namespace):
     return table
 
 
-def run_method(method, test, train, table, ingredient_table, args):
+def run_method(method, granularity, table, test, train, ingredient_table, args):
+    """One method's pairs: tf-idf when `table` is None, else the mover
+    search over `table`."""
     stats = ExtractionStats()
     started = time.perf_counter()
-    pairs = extract_candidates(
+    docs = build_instruction_docs(train, granularity)
+    if table is None:
+        retrieve = tfidf_retriever(docs, args.k)
+    else:
+        retrieve = mover_retriever(build_index(docs, table), args.k, stats.search)
+    pairs = extract_with_retriever(
         test,
         train,
         method,
-        table=table,
+        granularity,
+        retrieve,
         ingredient_table=ingredient_table,
-        k=args.k,
         threshold=args.threshold,
         stats=stats,
     )
@@ -114,14 +124,14 @@ def main(argv=None) -> int:
     ingredient_table = train_ingredient_table(train, seed=args.seed + 1)
 
     methods = (
-        (METHOD_GRAM3_SGNS, gram_table),
-        (METHOD_WORD_SGNS, word_table),
-        (METHOD_TFIDF, None),
+        (METHOD_GRAM3_SGNS, GRAM3, gram_table),
+        (METHOD_WORD_SGNS, WORD, word_table),
+        (METHOD_TFIDF, GRAM3, None),
     )
     rows = []
-    for method, table in methods:
+    for method, granularity, table in methods:
         found, pair_count, stats, elapsed = run_method(
-            method, test, train, table, ingredient_table, args
+            method, granularity, table, test, train, ingredient_table, args
         )
         rows.append(
             {

@@ -43,12 +43,12 @@ from .pipeline import (
     build_instruction_docs,
     compare_methods,
     comparison_text,
-    extract_candidates,
     extract_with_retriever,
     ingredient_sgns_config,
     load_pairs,
     mover_retriever,
     save_pairs,
+    tfidf_retriever,
     train_ingredient_table,
 )
 from .settings import ConfigError
@@ -83,7 +83,6 @@ class CliConfig(CorpusConfig, SgnsConfig):
     k: int = 10
     threshold: int = ANNOTATION_THRESHOLD
     out: str = "out"
-    baseline_words: bool = False
 
     _BOUNDS = SgnsConfig._BOUNDS + (("k", ">=", 1), ("threshold", ">=", 0))
 
@@ -137,13 +136,6 @@ def _coerce(field_name: str, raw: str):
     """`raw` as the setting's type; strings stay as they are."""
     kind = _FIELD_TYPES[field_name]
     try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError("expected a boolean")
         if kind is date:
             return date.fromisoformat(raw)
         if kind in (int, float):
@@ -397,12 +389,10 @@ def _cmd_train_embeddings(config: CliConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_instruction_table(config: CliConfig, out: Path) -> EmbeddingTable:
+def _instruction_vectors(config: CliConfig, out: Path) -> Path:
     if config.embedding_source == "train-sgns":
-        path = _require_artifact(_vectors_path(out, config.granularity), "train-embeddings")
-    else:
-        path = Path(config.embedding_source)
-    return load_vectors(path)
+        return _require_artifact(_vectors_path(out, config.granularity), "train-embeddings")
+    return Path(config.embedding_source)
 
 
 def _load_ingredient_table(out: Path) -> EmbeddingTable:
@@ -411,9 +401,16 @@ def _load_ingredient_table(out: Path) -> EmbeddingTable:
 
 def _cmd_build_index(config: CliConfig, args: argparse.Namespace) -> int:
     train, _, out = _split_corpus(config)
-    table = _load_instruction_table(config, out)
-    index = build_index(build_instruction_docs(train, config.granularity), table, config.metric)
+    vectors = _instruction_vectors(config, out)
+    index = build_index(
+        build_instruction_docs(train, config.granularity), load_vectors(vectors), config.metric
+    )
     path = _index_path(out, config.granularity)
+    if not index.entries:
+        raise ValueError(
+            f"{vectors} embeds no train document ({len(index.skipped)} skipped); "
+            f"{path} not written"
+        )
     save_index(path, index, config.granularity, config.method(), train_digest(train))
     logger.info(
         "indexed %d documents (%d skipped) to %s", len(index.entries), len(index.skipped), path
@@ -485,14 +482,14 @@ def _cmd_baseline(config: CliConfig, args: argparse.Namespace) -> int:
     train, test, out = _split_corpus(config)
     ingredient_table = _load_ingredient_table(out)
     stats = ExtractionStats()
-    pairs = extract_candidates(
+    pairs = extract_with_retriever(
         test,
         train,
         METHOD_TFIDF,
+        GRAM3,
+        tfidf_retriever(build_instruction_docs(train, GRAM3), config.k),
         ingredient_table=ingredient_table,
-        k=config.k,
         threshold=config.threshold,
-        baseline_words=config.baseline_words,
         stats=stats,
     )
     path = _candidates_path(out, METHOD_TFIDF)
@@ -616,13 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(SgnsConfig):
         if f.name != "seed":
             _setting_flag(common, f.name, help=sgns_help)
-    common.add_argument(
-        "--baseline-words",
-        dest="baseline_words",
-        action="store_const",
-        const=True,
-        help="run the tf-idf baseline on word tokens instead of 3-grams",
-    )
 
     parser = argparse.ArgumentParser(
         prog="gram-mover",

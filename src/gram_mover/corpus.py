@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
@@ -56,18 +56,18 @@ class Recipe:
 
 @dataclass
 class Corpus:
-    recipes: list[Recipe]
-    index: dict[str, int] = field(default_factory=dict)
+    """Recipes in order; `index` maps each id to its position and is
+    derived from `recipes`, which must not repeat an id."""
 
-    @classmethod
-    def from_recipes(cls, recipes: Iterable[Recipe]) -> "Corpus":
-        recipe_list = list(recipes)
-        index: dict[str, int] = {}
-        for pos, recipe in enumerate(recipe_list):
-            if recipe.id in index:
+    recipes: list[Recipe]
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {}
+        for pos, recipe in enumerate(self.recipes):
+            if recipe.id in self.index:
                 raise ValueError(f"duplicate recipe id {recipe.id!r}")
-            index[recipe.id] = pos
-        return cls(recipe_list, index)
+            self.index[recipe.id] = pos
 
     def __len__(self) -> int:
         return len(self.recipes)
@@ -165,7 +165,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 recipes.append(parse_recipe_record(line))
             except RecipeParseError as exc:
                 raise RecipeParseError(exc.field, f"line {lineno}: {exc}") from exc
-    return Corpus.from_recipes(recipes)
+    return Corpus(recipes)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -178,4 +178,4 @@ def split_by_date(corpus: Corpus, cutoff: datetime.date) -> tuple[Corpus, Corpus
     """Partition into (train: published <= cutoff, test: published > cutoff)."""
     train = [r for r in corpus if r.published <= cutoff]
     test = [r for r in corpus if r.published > cutoff]
-    return Corpus.from_recipes(train), Corpus.from_recipes(test)
+    return Corpus(train), Corpus(test)

@@ -478,13 +478,11 @@ def _centroid(hist: GramHistogram, table: EmbeddingTable) -> np.ndarray:
     return hist.weights @ table.vectors[hist.support].astype(np.float64)
 
 
-def wcd(a: GramHistogram, b: GramHistogram, table: EmbeddingTable, metric: str = EUCLIDEAN) -> float:
+def wcd(a: GramHistogram, b: GramHistogram, table: EmbeddingTable) -> float:
     """Centroid lower bound: distance between the weighted mean vectors.
 
     Only valid as a lower bound under the Euclidean ground metric.
     """
-    if metric != EUCLIDEAN:
-        raise ValueError("wcd bound requires euclidean ground metric")
     return float(np.linalg.norm(_centroid(a, table) - _centroid(b, table)))
 
 

@@ -28,7 +28,7 @@ from .ingredients import (
     ingredients_distance,
     passes_annotation_filter,
 )
-from .mover import COSINE, MoverIndex, SearchStats, build_index, topk_query
+from .mover import MoverIndex, SearchStats, topk_query
 from .textnorm import fold_width
 from .tokenize import TokenSeq, WORD, char_ngrams, gram_granularity, pretokenized, word_tokens
 
@@ -39,18 +39,8 @@ GRAM3 = gram_granularity(3)
 GRANULARITIES = (GRAM3, WORD)
 
 METHOD_GRAM3_SGNS = "gram3-sgns"
-METHOD_GRAM3_EXTERNAL = "gram3-external"
 METHOD_WORD_SGNS = "word-sgns"
-METHOD_WORD_EXTERNAL = "word-external"
 METHOD_TFIDF = "tfidf-baseline"
-
-ALL_METHODS = (
-    METHOD_GRAM3_SGNS,
-    METHOD_GRAM3_EXTERNAL,
-    METHOD_WORD_SGNS,
-    METHOD_WORD_EXTERNAL,
-    METHOD_TFIDF,
-)
 
 
 @dataclass(frozen=True)
@@ -79,18 +69,6 @@ class ExtractionStats:
     queries_total: int = 0
     queries_skipped: list[str] = field(default_factory=list)
     search: SearchStats = field(default_factory=SearchStats)
-
-
-def method_granularity(method: str, baseline_words: bool = False) -> str:
-    """Token granularity a method retrieves at. The baseline defaults to
-    3-grams to stay segmenter-free; `baseline_words` switches it."""
-    if method in (METHOD_GRAM3_SGNS, METHOD_GRAM3_EXTERNAL):
-        return GRAM3
-    if method in (METHOD_WORD_SGNS, METHOD_WORD_EXTERNAL):
-        return WORD
-    if method == METHOD_TFIDF:
-        return WORD if baseline_words else GRAM3
-    raise ValueError(f"unknown method {method!r}")
 
 
 def instruction_tokens(recipe: Recipe, granularity: str) -> TokenSeq:
@@ -208,9 +186,9 @@ def _check_retrieval(k: int, documents: int) -> None:
         raise ValueError("the index holds no documents")
 
 
-def _tfidf_retriever(
-    train_docs: Sequence[tuple[str, TokenSeq]], k: int
-) -> Retriever:
+def tfidf_retriever(train_docs: Sequence[tuple[str, TokenSeq]], k: int) -> Retriever:
+    """Top-k tf-idf cosine search over `train_docs`; a hit's distance is
+    one minus its similarity, ties broken by doc id."""
     _check_retrieval(k, len(train_docs))
     index = build_tfidf_index(train_docs)
 
@@ -263,50 +241,6 @@ def train_ingredient_table(recipes: Iterable[Recipe], seed: int = 2) -> Embeddin
         raise ValueError(f"ingredient lists too degenerate to train on: {error}") from None
 
 
-def extract_candidates(
-    test: Corpus,
-    train: Corpus,
-    method: str,
-    table: EmbeddingTable | None = None,
-    ingredient_table: EmbeddingTable | None = None,
-    k: int = 10,
-    threshold: int = ANNOTATION_THRESHOLD,
-    metric: str = COSINE,
-    baseline_words: bool = False,
-    stats: ExtractionStats | None = None,
-) -> list[CandidatePair]:
-    """Top-k instruction-text retrieval per test recipe, then the
-    ingredients filter.
-
-    Ingredient lists are compared as (train recipe, test recipe): the train
-    side plays the candidate original, the test side the candidate
-    near-duplicate.
-    """
-    if method not in ALL_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if stats is None:
-        stats = ExtractionStats()
-    granularity = method_granularity(method, baseline_words=baseline_words)
-    train_docs = build_instruction_docs(train, granularity)
-
-    if method == METHOD_TFIDF:
-        retrieve = _tfidf_retriever(train_docs, k)
-    else:
-        if table is None:
-            raise ValueError(f"method {method!r} requires an embedding table")
-        retrieve = mover_retriever(build_index(train_docs, table, metric), k, stats.search)
-    return extract_with_retriever(
-        test,
-        train,
-        method,
-        granularity,
-        retrieve,
-        ingredient_table=ingredient_table,
-        threshold=threshold,
-        stats=stats,
-    )
-
-
 def extract_with_retriever(
     test: Corpus,
     train: Corpus,
@@ -317,8 +251,12 @@ def extract_with_retriever(
     threshold: int = ANNOTATION_THRESHOLD,
     stats: ExtractionStats | None = None,
 ) -> list[CandidatePair]:
-    """The retrieval loop shared by every method: query each test recipe and
-    apply the ingredients filter. Each query carries the filter as its
+    """The retrieval loop shared by every method: query each test recipe
+    with `retrieve`, built by `mover_retriever` or `tfidf_retriever` over
+    the train side's `granularity` docs, and apply the ingredients filter.
+    Ingredient lists are compared as (train recipe, test recipe): the train
+    side plays the candidate original, the test side the candidate
+    near-duplicate. Each query carries the filter as its
     `keep` predicate, so the mover search solves to the optimum only the
     hits it keeps; the ingredients distance of a pair is computed once,
     whether the search or the filter asks first. Pairs come back sorted by

@@ -237,7 +237,7 @@ def generate_corpus(seed: int = 7, **settings) -> tuple[Corpus, list[PlantedPair
         published = _TEST_START + timedelta(days=int(rng.integers(0, _TEST_DAYS)))
         recipes.append(_make_recipe(f"test-new-{i:02d}", published, pool, rng))
 
-    return Corpus.from_recipes(recipes), truth
+    return Corpus(recipes), truth
 
 
 def save_truth(pairs: list[PlantedPair], path) -> None:

@@ -41,8 +41,10 @@ from gram_mover.mover import (
 from gram_mover.pipeline import (
     METHOD_GRAM3_SGNS,
     METHOD_WORD_SGNS,
+    ExtractionStats,
     build_instruction_docs,
-    extract_candidates,
+    extract_with_retriever,
+    mover_retriever,
     train_ingredient_table,
 )
 from gram_mover.synth import CUTOFF, generate_corpus, synthetic_classification_pool
@@ -101,7 +103,7 @@ def test_lower_bounds_never_exceed_exact_distance():
             exact, _ = emd_exact(a, b, cost)
             assert rwmd(a, b, cost) <= exact + 1e-9
             if metric == EUCLIDEAN:
-                assert wcd(a, b, table, EUCLIDEAN) <= exact + 1e-9
+                assert wcd(a, b, table) <= exact + 1e-9
         assert time.perf_counter() - started < 30.0
 
 
@@ -165,18 +167,20 @@ def test_planted_duplicates_recovered_and_grams_hold_up_under_typos():
         word_table = train_sgns(word_docs, SgnsConfig(**sgns))
         ingredient_table = train_ingredient_table(train, seed=2)
 
-        def found_pairs(method, table):
-            pairs = extract_candidates(
-                test, train, method, table=table, ingredient_table=ingredient_table,
-                k=10, threshold=2,
+        def found_pairs(method, granularity, table):
+            stats = ExtractionStats()
+            index = build_index(build_instruction_docs(train, granularity), table)
+            pairs = extract_with_retriever(
+                test, train, method, granularity, mover_retriever(index, 10, stats.search),
+                ingredient_table=ingredient_table, threshold=2, stats=stats,
             )
             return {(pair.query_id, pair.candidate_id) for pair in pairs}
 
         def recall(found, subset):
             return sum((t.test_id, t.train_id) in found for t in subset) / len(subset)
 
-        gram_found = found_pairs(METHOD_GRAM3_SGNS, gram_table)
-        word_found = found_pairs(METHOD_WORD_SGNS, word_table)
+        gram_found = found_pairs(METHOD_GRAM3_SGNS, GRAM3, gram_table)
+        word_found = found_pairs(METHOD_WORD_SGNS, WORD, word_table)
         typos = [t for t in truth if t.typo_count >= 1]
         assert typos
         assert recall(gram_found, truth) >= 0.9

@@ -94,7 +94,7 @@ def _tiny_corpus(path):
             published=date(2016, 11, 2),
         ),
     ]
-    save_corpus(Corpus.from_recipes(recipes), path)
+    save_corpus(Corpus(recipes), path)
     return path
 
 
@@ -133,24 +133,6 @@ class TestConfigResolution:
         config = resolve_config(parse("report", "--config", path, "--k", 7))
         assert config.k == 7
         assert config.seed == 9
-
-    def test_boolean_coercion(self, tmp_path):
-        path = tmp_path / "settings.cfg"
-        cases = [
-            ("true", True), ("yes", True), ("1", True),
-            ("false", False), ("no", False), ("0", False),
-        ]
-        for raw, expected in cases:
-            path.write_text(f"baseline_words={raw}\n", encoding="utf-8")
-            config = resolve_config(parse("baseline", "--config", path))
-            assert config.baseline_words is expected
-
-    def test_bad_boolean_names_the_field(self, tmp_path):
-        path = tmp_path / "settings.cfg"
-        path.write_text("baseline_words=maybe\n", encoding="utf-8")
-        with pytest.raises(ConfigError) as err:
-            resolve_config(parse("baseline", "--config", path))
-        assert err.value.field == "baseline_words"
 
     def test_repeated_key_names_the_key_and_both_lines(self, tmp_path, capsys):
         path = tmp_path / "settings.cfg"
@@ -240,9 +222,7 @@ class TestOneDeclarationPerSetting:
         }
         expected = {}
         for f in fields(CliConfig):
-            if isinstance(f.default, bool):
-                expected[f.name] = not f.default
-            elif isinstance(f.default, int):
+            if isinstance(f.default, int):
                 expected[f.name] = f.default + 1
             elif isinstance(f.default, float):
                 expected[f.name] = f.default / 2
@@ -408,6 +388,24 @@ class TestThreadsFlag:
         assert "threads" in err and "unknown setting" in err
 
 
+class TestNoBaselineWordsSetting:
+    """The baseline always runs on 3-grams; the removed word switch is no
+    flag and no config-file key."""
+
+    def test_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("baseline", "--out", tmp_path, "--baseline-words")
+        assert exit_info.value.code == 2
+        assert "--baseline-words" in capsys.readouterr().err
+
+    def test_config_file_key_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "settings.cfg"
+        path.write_text("baseline_words=true\n", encoding="utf-8")
+        assert run("baseline", "--out", tmp_path, "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: baseline_words:") and "unknown setting" in err
+
+
 class TestExitCodes:
     def test_missing_corpus_setting_is_a_config_error(self, tmp_path, capsys):
         assert run("train-embeddings", "--out", tmp_path) == 2
@@ -439,6 +437,19 @@ class TestExitCodes:
     def test_report_without_candidates(self, tmp_path, capsys):
         assert run("report", "--out", tmp_path) == 3
         assert "extract-candidates" in capsys.readouterr().err
+
+    def test_index_of_no_documents_is_not_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("synth-corpus", "--out", out, "--train-size", 20, "--planted", 2, "--fresh", 1) == 0
+        vectors = tmp_path / "one.vec"
+        vectors.write_text("1 2\nzzz 0.1 0.2\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ("--corpus", out / "corpus.jsonl", "--out", out, "--embedding-source", vectors)
+        assert run("build-index", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vectors} embeds no train document (20 skipped)")
+        assert f"{out / 'index-gram3.npz'} not written" in err
+        assert not list(out.glob("index-*"))
 
     def test_malformed_corpus_is_a_plain_error(self, tmp_path, capsys):
         line = recipe_to_record(
@@ -518,7 +529,7 @@ class TestTrainEmbeddingsCommand:
             for i in range(8)
         ]
         corpus = tmp_path / "corpus.jsonl"
-        save_corpus(Corpus.from_recipes(recipes), corpus)
+        save_corpus(Corpus(recipes), corpus)
         assert run("train-embeddings", "--corpus", corpus, "--out", tmp_path, *SMALL_SGNS) == 1
         err = capsys.readouterr().err
         assert "error: ingredient lists" in err
@@ -910,7 +921,7 @@ class TestExtractionChecks:
         else:
             at = next(i for i, recipe in enumerate(recipes) if recipe.id == "train-0000")
             recipes[at] = edit(recipes[at])
-        save_corpus(Corpus.from_recipes(recipes), corpus)
+        save_corpus(Corpus(recipes), corpus)
         capsys.readouterr()
         assert run("extract-candidates", "--corpus", corpus, "--out", out, "--k", 5) == code
         if code == 2:

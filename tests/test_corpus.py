@@ -105,21 +105,28 @@ class TestRoundTrip:
     @given(recipe_list=st.lists(recipes, max_size=6, unique_by=lambda r: r.id))
     def test_file_round_trip(self, recipe_list, tmp_path_factory):
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
-        corpus = Corpus.from_recipes(recipe_list)
+        corpus = Corpus(recipe_list)
         save_corpus(corpus, path)
         assert load_corpus(path).recipes == corpus.recipes
 
 
 class TestCorpus:
     def test_index_consistent(self):
-        corpus = Corpus.from_recipes([parse_recipe_record(GOOD_LINE)])
+        corpus = Corpus([parse_recipe_record(GOOD_LINE)])
         assert corpus.index == {"r1": 0}
         assert corpus.get("r1").id == "r1"
 
     def test_duplicate_ids_rejected(self):
         recipe = parse_recipe_record(GOOD_LINE)
-        with pytest.raises(ValueError):
-            Corpus.from_recipes([recipe, recipe])
+        with pytest.raises(ValueError, match="duplicate recipe id 'r1'"):
+            Corpus([recipe, recipe])
+
+    def test_built_directly_every_id_is_found(self):
+        recipes = [_dated("a", "2016-10-30"), _dated("b", "2016-10-31")]
+        corpus = Corpus(recipes)
+        assert "b" in corpus and "c" not in corpus
+        assert corpus.get("a") is recipes[0] and corpus.get("b") is recipes[1]
+        assert corpus.index == {"a": 0, "b": 1}
 
 
 def _dated(recipe_id: str, day: str) -> Recipe:
@@ -134,7 +141,7 @@ def _dated(recipe_id: str, day: str) -> Recipe:
 
 class TestSplitByDate:
     def setup_method(self):
-        self.corpus = Corpus.from_recipes(
+        self.corpus = Corpus(
             [_dated("a", "2016-10-30"), _dated("b", "2016-10-31"), _dated("c", "2016-11-01")]
         )
 
@@ -160,7 +167,7 @@ class TestSplitByDate:
         ),
     )
     def test_partition(self, recipe_list, cutoff):
-        corpus = Corpus.from_recipes(recipe_list)
+        corpus = Corpus(recipe_list)
         train, test = split_by_date(corpus, cutoff)
         assert len(train) + len(test) == len(corpus)
         assert all(r.published <= cutoff for r in train)

@@ -398,12 +398,6 @@ class TestLowerBounds:
         b = make_histogram([1.0], support=[1])
         assert wcd(a, b, table) == pytest.approx(np.sqrt(20.0))
 
-    def test_wcd_rejects_cosine(self):
-        table = make_table({"x": [1, 0]})
-        hist = make_histogram([1.0], support=[0])
-        with pytest.raises(ValueError, match="euclidean"):
-            wcd(hist, hist, table, metric=COSINE)
-
     @settings(deadline=None, max_examples=60)
     @given(seed=seeds)
     def test_rwmd_below_emd(self, seed):

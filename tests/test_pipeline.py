@@ -9,9 +9,9 @@ import pytest
 from conftest import GRAM3, make_table
 from gram_mover import pipeline
 from gram_mover.corpus import Corpus, PairLabel, Recipe
-from gram_mover.mover import mover_distance
+from gram_mover.mover import build_index, mover_distance
 from gram_mover.pipeline import (
-    ALL_METHODS,
+    GRANULARITIES,
     METHOD_GRAM3_SGNS,
     METHOD_TFIDF,
     METHOD_WORD_SGNS,
@@ -21,14 +21,14 @@ from gram_mover.pipeline import (
     build_tfidf_index,
     compare_methods,
     comparison_text,
-    extract_candidates,
     extract_with_retriever,
     instruction_tokens,
     load_pairs,
-    method_granularity,
+    mover_retriever,
     parse_pair_record,
     pair_to_record,
     save_pairs,
+    tfidf_retriever,
     tfidf_similarities,
     train_ingredient_table,
 )
@@ -64,22 +64,6 @@ def _gram_table(*texts):
     rng = np.random.default_rng(42)
     grams = sorted({t[i:i + 3] if len(t) >= 3 else t for t in texts for i in range(max(1, len(t) - 2))})
     return make_table({g: rng.normal(size=6) for g in grams})
-
-
-class TestMethodGranularity:
-    def test_gram_methods(self):
-        assert method_granularity(METHOD_GRAM3_SGNS) == GRAM3
-
-    def test_word_methods(self):
-        assert method_granularity(METHOD_WORD_SGNS) == WORD
-
-    def test_baseline_default_and_flag(self):
-        assert method_granularity(METHOD_TFIDF) == GRAM3
-        assert method_granularity(METHOD_TFIDF, baseline_words=True) == WORD
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            method_granularity("bm25")
 
 
 class TestInstructionTokens:
@@ -159,20 +143,30 @@ TRAIN_TEXTS = {
 
 
 def _toy_split(test_text="abcdefgh", test_ingredients=("salt",)):
-    train = Corpus.from_recipes(
+    train = Corpus(
         [_recipe(rid, text, ingredients=("salt",)) for rid, text in TRAIN_TEXTS.items()]
     )
-    test = Corpus.from_recipes(
+    test = Corpus(
         [_recipe("q1", test_text, ingredients=test_ingredients, day="2016-11-02")]
     )
     table = _gram_table(*TRAIN_TEXTS.values(), test_text)
     return test, train, table
 
 
+def _mover_pairs(test, train, table, k=10, stats=None, **options):
+    """3-gram mover search over `train`, then the ingredients filter."""
+    stats = stats if stats is not None else ExtractionStats()
+    index = build_index(build_instruction_docs(train, GRAM3), table)
+    retrieve = mover_retriever(index, k, stats.search)
+    return extract_with_retriever(
+        test, train, METHOD_GRAM3_SGNS, GRAM3, retrieve, stats=stats, **options
+    )
+
+
 class TestExtractCandidates:
     def test_identity_pair_retained_with_zero_distances(self):
         test, train, table = _toy_split()
-        pairs = extract_candidates(test, train, METHOD_GRAM3_SGNS, table=table, k=2)
+        pairs = _mover_pairs(test, train, table, k=2)
         match = [p for p in pairs if p.candidate_id == "t1"]
         assert len(match) == 1
         assert match[0].instruction_distance == 0.0
@@ -181,30 +175,18 @@ class TestExtractCandidates:
 
     def test_ingredients_filter_drops_everything(self):
         test, train, table = _toy_split(test_ingredients=("a", "b", "c"))
-        pairs = extract_candidates(test, train, METHOD_GRAM3_SGNS, table=table, k=3)
+        pairs = _mover_pairs(test, train, table, k=3)
         assert pairs == []
-
-    def test_unknown_method(self):
-        test, train, _ = _toy_split()
-        with pytest.raises(ValueError):
-            extract_candidates(test, train, "bm25")
-
-    def test_mover_method_requires_table(self):
-        test, train, _ = _toy_split()
-        with pytest.raises(ValueError, match="table"):
-            extract_candidates(test, train, METHOD_GRAM3_SGNS)
 
     def test_unembeddable_query_skipped_and_counted(self, caplog):
         test, train, _ = _toy_split()
         table = _gram_table(*TRAIN_TEXTS.values())  # no grams of the query text
-        bad = Corpus.from_recipes(
+        bad = Corpus(
             [_recipe("q9", "zzzzzz", day="2016-11-02")]
         )
         stats = ExtractionStats()
         with caplog.at_level("WARNING"):
-            pairs = extract_candidates(
-                bad, train, METHOD_GRAM3_SGNS, table=table, stats=stats
-            )
+            pairs = _mover_pairs(bad, train, table, stats=stats)
         assert pairs == []
         assert stats.queries_total == 1
         assert stats.queries_skipped == ["q9"]
@@ -213,9 +195,14 @@ class TestExtractCandidates:
     @pytest.mark.parametrize("k", [0, -3])
     def test_depth_below_one_raises_before_any_query(self, method, k):
         test, train, table = _toy_split()
+        docs = build_instruction_docs(train, GRAM3)
         stats = ExtractionStats()
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
-            extract_candidates(test, train, method, table=table, k=k, stats=stats)
+            if method == METHOD_TFIDF:
+                retrieve = tfidf_retriever(docs, k)
+            else:
+                retrieve = mover_retriever(build_index(docs, table), k, stats.search)
+            extract_with_retriever(test, train, method, GRAM3, retrieve, stats=stats)
         assert stats.queries_total == 0 and stats.queries_skipped == []
 
     def test_index_of_no_documents_raises_before_any_query(self):
@@ -223,18 +210,17 @@ class TestExtractCandidates:
         table = _gram_table("zzzzzz")  # embeds no gram of any train text
         stats = ExtractionStats()
         with pytest.raises(ValueError, match="holds no documents"):
-            extract_candidates(test, train, METHOD_GRAM3_SGNS, table=table, stats=stats)
+            _mover_pairs(test, train, table, stats=stats)
         assert stats.queries_total == 0 and stats.queries_skipped == []
 
     def test_tfidf_over_no_train_recipes_raises(self):
-        test, _, _ = _toy_split()
         with pytest.raises(ValueError, match="holds no documents"):
-            extract_candidates(test, Corpus.from_recipes([]), METHOD_TFIDF)
+            tfidf_retriever(build_instruction_docs(Corpus([]), GRAM3), 10)
 
     def test_returned_distances_are_k_smallest(self):
         test, train, table = _toy_split()
         k = 2
-        pairs = extract_candidates(test, train, METHOD_GRAM3_SGNS, table=table, k=k)
+        pairs = _mover_pairs(test, train, table, k=k)
         query_tokens = instruction_tokens(test.get("q1"), GRAM3)
         exhaustive = sorted(
             mover_distance(query_tokens, instruction_tokens(r, GRAM3), table)
@@ -248,11 +234,13 @@ class TestExtractCandidates:
     def test_constant_measure_gives_identical_sets_across_methods(self):
         test, train, _ = _toy_split()
         outcomes = {}
-        for method in ALL_METHODS:
-            granularity = method_granularity(method)
+        for granularity in GRANULARITIES:
             retrieve = _measure_retriever(train, granularity, lambda qa, qb: 0.5, k=2)
-            pairs = extract_with_retriever(test, train, method, granularity, retrieve)
-            outcomes[method] = {(p.query_id, p.candidate_id, p.instruction_distance) for p in pairs}
+            for method in (METHOD_GRAM3_SGNS, METHOD_WORD_SGNS, METHOD_TFIDF):
+                pairs = extract_with_retriever(test, train, method, granularity, retrieve)
+                outcomes[method, granularity] = {
+                    (p.query_id, p.candidate_id, p.instruction_distance) for p in pairs
+                }
         assert len(set(map(frozenset, outcomes.values()))) == 1
 
     def test_ingredient_orientation_is_train_then_test(self):
@@ -265,35 +253,29 @@ class TestExtractCandidates:
                 "D3": [0.997, -0.06],
             }
         )
-        train = Corpus.from_recipes([_recipe("t1", "abcd", ingredients=("X",))])
-        test = Corpus.from_recipes(
+        train = Corpus([_recipe("t1", "abcd", ingredients=("X",))])
+        test = Corpus(
             [_recipe("q1", "abcd", ingredients=("Y",), day="2016-11-02")]
         )
         table = _gram_table("abcd")
-        forward = extract_candidates(
-            test, train, METHOD_GRAM3_SGNS, table=table,
-            ingredient_table=asymmetric, threshold=1,
-        )
+        forward = _mover_pairs(test, train, table, ingredient_table=asymmetric, threshold=1)
         assert [p.ingredients_distance for p in forward] == [0]
 
-        train_y = Corpus.from_recipes([_recipe("t1", "abcd", ingredients=("Y",))])
-        test_x = Corpus.from_recipes(
+        train_y = Corpus([_recipe("t1", "abcd", ingredients=("Y",))])
+        test_x = Corpus(
             [_recipe("q1", "abcd", ingredients=("X",), day="2016-11-02")]
         )
-        reverse = extract_candidates(
-            test_x, train_y, METHOD_GRAM3_SGNS, table=table,
-            ingredient_table=asymmetric, threshold=1,
-        )
+        reverse = _mover_pairs(test_x, train_y, table, ingredient_table=asymmetric, threshold=1)
         assert reverse == []
 
     def test_retriever_gets_the_filter_as_keep(self, monkeypatch):
         # every train recipe is asked about, then returned: the filter runs
         # once per candidate, and the pairs are the ones `keep` accepts
-        train = Corpus.from_recipes(
+        train = Corpus(
             [_recipe(f"t{i}", "abcd", ingredients=names) for i, names in
              enumerate([("salt",), ("salt", "egg"), ("egg", "milk", "rice"), ("salt", "a", "b", "c")])]
         )
-        test = Corpus.from_recipes([_recipe("q1", "abcd", ingredients=("salt",), day="2016-11-02")])
+        test = Corpus([_recipe("q1", "abcd", ingredients=("salt",), day="2016-11-02")])
         calls = []
         distance = pipeline.ingredients_distance
         monkeypatch.setattr(
@@ -313,9 +295,9 @@ class TestExtractCandidates:
 
     def test_baseline_distance_is_one_minus_similarity(self):
         test, train, _ = _toy_split()
-        pairs = extract_candidates(test, train, METHOD_TFIDF, k=1)
-        assert len(pairs) == 1
         docs = build_instruction_docs(train, GRAM3)
+        pairs = extract_with_retriever(test, train, METHOD_TFIDF, GRAM3, tfidf_retriever(docs, 1))
+        assert len(pairs) == 1
         index = build_tfidf_index(docs)
         query = instruction_tokens(test.get("q1"), GRAM3)
         best = max(tfidf_similarities(query, index).values())

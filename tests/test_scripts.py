@@ -1,5 +1,5 @@
 """Smoke runs of the study scripts under scripts/ and of README's Library
-example and Quick start commands, which no other test imports: they call
+examples and Quick start commands, which no other test imports: they call
 the package's public functions and flags, and break silently when a
 signature or a flag changes."""
 
@@ -61,10 +61,14 @@ def test_classifier_study_runs_both_model_kinds(tmp_path, capsys):
     assert "logistic-regression" in printed and "random-forest" in printed
 
 
-def test_readme_library_example_runs():
+def _library_blocks() -> list[str]:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = readme.split("## Library", 1)[1]
-    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", library, re.DOTALL)
+
+
+def test_readme_library_example_runs():
+    block = _library_blocks()[0]
     texts = ["にんじんを切って塩を振る", "にんじんを切って煮る", "玉ねぎを切って炒める"] * 4
     names = {"texts": texts}
     exec(block, names)
@@ -75,6 +79,20 @@ def test_readme_library_example_runs():
     query = names["char_ngrams"]("にんじんを切る", 3)
     doc = dict(names["docs"])[best_id]
     assert names["mover_distance"](query, doc, names["table"]) == pytest.approx(best, abs=1e-12)
+
+
+def test_readme_extraction_example_runs():
+    blocks = _library_blocks()
+    assert len(blocks) == 2
+    names: dict = {}
+    exec(blocks[1], names)
+    test, train, truth = names["test"], names["train"], names["truth"]
+    assert names["stats"].queries_total == len(test)
+    for pairs, method in ((names["mover_pairs"], "gram3-sgns"), (names["tfidf_pairs"], "tfidf-baseline")):
+        assert pairs and {pair.method for pair in pairs} == {method}
+        assert all(pair.query_id in test and pair.candidate_id in train for pair in pairs)
+    found = {(pair.query_id, pair.candidate_id) for pair in names["mover_pairs"]}
+    assert any((t.test_id, t.train_id) in found for t in truth)
 
 
 def test_readme_quick_start_commands_parse():
