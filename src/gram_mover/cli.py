@@ -432,6 +432,16 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
                 name,
                 f"{index_path} was built for {built}, not {configured}; rerun build-index",
             )
+    if config.embedding_source != "train-sgns":
+        source = load_vectors(config.embedding_source)
+        if source.vocab.tokens != index.table.vocab.tokens or not np.array_equal(
+            source.vectors, index.table.vectors
+        ):
+            raise ConfigError(
+                "embedding_source",
+                f"{index_path} was built from other vectors than {config.embedding_source}; "
+                "rerun build-index",
+            )
     indexed = Counter(entry.doc_id for entry in index.entries)
     indexed.update(index.skipped)
     if indexed != Counter(recipe.id for recipe in train):
@@ -464,13 +474,14 @@ def _cmd_extract_candidates(config: CliConfig, args: argparse.Namespace) -> int:
     logger.info(
         "%d candidate pairs from %d queries "
         "(%d skipped, %d exact distance evaluations, %d stopped early, "
-        "%d held, %d certified, %d pivots) to %s",
+        "%d held, %d upper bounds, %d certified, %d pivots) to %s",
         len(pairs),
         stats.queries_total,
         len(stats.queries_skipped),
         stats.search.exact_evaluations,
         stats.search.early_stopped,
         stats.search.held,
+        stats.search.upper_bounds,
         stats.search.certified,
         stats.search.pivots,
         path,

@@ -24,9 +24,13 @@ the centroid bound under a Euclidean ground metric), and once it holds k
 distances it stops every solve whose distance cannot reach them (early
 abandoning), without changing results, ties included. Given a `keep`
 predicate, it solves to the optimum only the candidates kept: the others
-are ranked, never returned, so each is held at the cost of its greedy plan,
-an upper bound, and solved only where its bounds leave its order against a
-kept hit open (the threshold algorithm of Fagin, Lotem and Naor).
+are ranked, never returned, so past the first k, which seed the cutoff with
+their greedy plans, each costs one `keep` call until a kept hit's rank
+depends on it. Only then are its reduction bound, its greedy upper bound
+and, where those leave its order against the hit open, an exact solve
+computed; each bound once, and a solve again only with a higher cutoff
+(the threshold algorithm of Fagin, Lotem and Naor, with lower and upper
+bounds per candidate).
 
 An index keeps one float64 ground-row table for its whole vocabulary, built
 on first use, and gathers each pair's rows from it: memory O(vocab · d), not
@@ -38,7 +42,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -537,13 +541,15 @@ class SearchStats:
 
     Every bounded candidate is solved to the end, stopped early, pruned or
     held: `bound_computations == exact_evaluations + early_stopped + pruned
-    + held`. Certification solves are counted apart, in `certified`."""
+    + held`. Greedy upper bounds and certification solves are counted
+    apart, in `upper_bounds` and `certified`."""
 
     exact_evaluations: int = 0  # kept candidates solved to the optimum
     bound_computations: int = 0
-    pruned: int = 0  # candidates never solved: their bound exceeds the k-th best
-    early_stopped: int = 0  # candidates whose bound or solve proved them out of the k best
-    held: int = 0  # candidates not kept, held at their greedy upper bound
+    pruned: int = 0  # candidates never visited: their bound exceeds the k-th best
+    early_stopped: int = 0  # kept candidates whose solve proved them out of the k best
+    held: int = 0  # visited candidates that `keep` rejects
+    upper_bounds: int = 0  # greedy plans of held candidates, to seed the cutoff or certify
     certified: int = 0  # solves of held candidates that decide a kept hit's rank
     pivots: int = 0  # simplex pivots summed over every solve, certifications included
 
@@ -582,19 +588,26 @@ def topk_query(
 
     Candidates are visited in order of their lower bound, and the visit
     stops once that bound exceeds the k-th best value held by more than
-    rounding. A kept candidate is solved exactly, with that k-th best plus
-    the rounding slack as its cutoff, so it stops early once its distance
-    provably cannot reach the k best. A candidate `keep` rejects is only
-    ranked, never returned: it is dropped when the reduction bound of its
-    cost exceeds the cutoff, and otherwise held at the cost of its greedy
-    plan, an upper bound on its distance. The k best values are taken over
-    kept distances and held upper bounds alike. At the end each kept hit's
-    rank is certified: a held candidate whose bounds straddle the hit's
-    distance is solved exactly, with that distance plus slack as its
-    cutoff. Kept distances come from the same solves as without `keep`, bit
-    for bit, and the hits are the ones that solving every candidate to the
-    end and then applying `keep` gives, ties included. Work is counted in
-    `stats`, a fresh `SearchStats` when none is given.
+    rounding. The first k candidates seed those values: a kept one with its
+    exact distance, one that `keep` rejects with the cost of its greedy
+    plan, an upper bound on its distance. After them a kept candidate is
+    solved exactly, with the k-th best plus the rounding slack as its
+    cutoff, so it stops early once its distance provably cannot reach the k
+    best, and a completed distance joins the k best values. A candidate
+    `keep` rejects is only ranked, never returned: it is held at the cost of
+    the `keep` call alone. At the end each kept hit's rank is certified, in
+    order of distance, against the held candidates whose lower bound can
+    reach it: one is after the hit when its reduction bound exceeds the
+    hit's distance plus slack, before it when its greedy upper bound is
+    below the distance less slack, and otherwise it is solved exactly, with
+    the distance plus slack as its cutoff, in order of its upper bound. A
+    hit with k documents before it ends the search. Each held candidate's
+    bounds are computed at most once, and a solve that stopped is repeated
+    only for a later hit's higher cutoff. Kept distances come from the
+    same solves as without `keep`, bit for bit, and the hits are the ones
+    that solving every candidate to the end and then applying `keep` gives,
+    ties included. Work is counted in `stats`, a fresh `SearchStats` when
+    none is given.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -621,7 +634,19 @@ def topk_query(
     bounds.sort(key=lambda item: (item[0], item[1]))
 
     kept: list[tuple[float, str]] = []  # completed solves of kept candidates
-    held = []  # (bound, doc id, greedy upper bound, entry, cost), in bound order
+    dropped = []  # (bound, doc id, entry, cost) of visited candidates `keep` rejects
+
+    @cache
+    def reduction(position: int) -> float:  # of the dropped candidate at `position`
+        _, _, entry, cost = dropped[position]
+        return _reduction_bound(query_hist.weights, entry.hist.weights, cost.values)
+
+    @cache
+    def upper_bound(position: int) -> float:  # of the dropped candidate at `position`
+        _, _, entry, cost = dropped[position]
+        stats.upper_bounds += 1
+        return _greedy_arcs(query_hist.weights, entry.hist.weights, cost.values)[1]
+
     cutoff = np.inf  # the k-th best value plus slack, once k are held
     best_heap: list[float] = []  # max-heap (negated) of the k best values
     for position, (bound, doc_id, entry, cost) in enumerate(bounds):
@@ -639,13 +664,11 @@ def topk_query(
             stats.pivots += plan.pivots
             kept.append((value, doc_id))
         else:
-            weights = query_hist.weights, entry.hist.weights
-            if cutoff < np.inf and _reduction_bound(*weights, cost.values) > cutoff:
-                stats.early_stopped += 1
-                continue
-            _, value = _greedy_arcs(*weights, cost.values)
             stats.held += 1
-            held.append((bound, doc_id, value, entry, cost))
+            dropped.append((bound, doc_id, entry, cost))
+            if position >= k:
+                continue  # ranked only if a kept hit's rank needs it
+            value = upper_bound(len(dropped) - 1)  # the first k seed the cutoff
         if len(best_heap) < k:
             heapq.heappush(best_heap, -value)
         elif value < -best_heap[0]:
@@ -655,34 +678,46 @@ def topk_query(
 
     # Certify each kept hit's rank: count the documents before it, up to k.
     # Pruned and stopped candidates lie beyond the cutoff, so after any hit
-    # within it; kept hits and held candidates are counted here.
+    # within it; kept hits are counted by their order, and each dropped one
+    # within the hit's limit by the cheapest test that decides it: reduction
+    # bound, then greedy upper bound, then a solve, the likeliest ahead first.
     kept.sort()
     hits = []
-    # held position -> (distance, True), or (the cutoff its solve stopped at, False)
+    # dropped position -> (distance, True), or (the cutoff its solve stopped at, False)
     settled: dict[int, tuple[float, bool]] = {}
     for ahead_kept, (distance, doc_id) in enumerate(kept):
         if distance > cutoff:
             break
         ahead = ahead_kept
         limit = distance + _PRUNE_SLACK
-        for position, (bound, other_id, upper, entry, cost) in enumerate(held):
+        undecided = []
+        for position, (bound, other_id, _, _) in enumerate(dropped):
             if ahead >= k or bound > limit:
                 break
-            if upper < distance - _PRUNE_SLACK:
-                ahead += 1
-                continue
             value, exact = settled.get(position, (-np.inf, False))
-            if not exact and value < limit:
-                stats.certified += 1
-                try:
-                    value, plan = emd_exact(query_hist, entry.hist, cost, cutoff=limit)
-                    stats.pivots += plan.pivots
-                    exact = True
-                except _StoppedEarly as stopped:
-                    stats.pivots += stopped.pivots
-                    value = limit
-                settled[position] = value, exact
-            if exact and (value, other_id) < (distance, doc_id):
+            if exact:
+                if (value, other_id) < (distance, doc_id):
+                    ahead += 1
+            elif value >= limit or reduction(position) > limit:
+                continue
+            elif upper_bound(position) < distance - _PRUNE_SLACK:
+                ahead += 1
+            else:
+                undecided.append(position)
+        for position in sorted(undecided, key=upper_bound):
+            if ahead >= k:
+                break
+            _, other_id, entry, cost = dropped[position]
+            stats.certified += 1
+            try:
+                value, plan = emd_exact(query_hist, entry.hist, cost, cutoff=limit)
+            except _StoppedEarly as stopped:
+                stats.pivots += stopped.pivots
+                settled[position] = limit, False
+                continue
+            stats.pivots += plan.pivots
+            settled[position] = value, True
+            if (value, other_id) < (distance, doc_id):
                 ahead += 1
         if ahead >= k:
             break  # every later hit has at least as many documents before it

@@ -34,7 +34,7 @@ from gram_mover.corpus import (
     recipe_to_record,
     save_corpus,
 )
-from gram_mover.embed import SgnsConfig, load_vectors
+from gram_mover.embed import EmbeddingTable, SgnsConfig, Vocab, load_vectors, save_vectors
 from gram_mover.mover import CostMatrix, GramHistogram, SolverError, emd_exact
 from gram_mover.pipeline import CandidatePair, load_pairs, save_pairs
 from gram_mover.synth import CORPUS_BOUNDS, CUTOFF, CorpusConfig, generate_corpus
@@ -706,7 +706,9 @@ class TestFullChain:
             assert run("extract-candidates", "--corpus", chain / "corpus.jsonl", "--out", chain, "--k", 5) == 0
         line = next(r.getMessage() for r in caplog.records if "candidate pairs from" in r.getMessage())
         assert re.search(
-            r"\d+ exact distance evaluations, \d+ stopped early, \d+ held, \d+ certified, \d+ pivots", line
+            r"\d+ exact distance evaluations, \d+ stopped early, \d+ held, "
+            r"\d+ upper bounds, \d+ certified, \d+ pivots",
+            line,
         ), line
         assert (chain / "candidates-gram3-sgns.jsonl").read_bytes() == before
 
@@ -979,6 +981,33 @@ class TestExtractionChecks:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: embedding_source:")
         assert not list(out.glob("candidates-*.jsonl"))
+
+    @pytest.mark.parametrize("change", ["rescaled", "reordered"])
+    def test_index_built_from_other_vectors_exits_2(self, chain, tmp_path, capsys, change):
+        # b.vec holds a.vec's tokens with other vectors, or a.vec's rows in
+        # another order; either would search the index with the wrong rows
+        out = _copy_chain_inputs(chain, tmp_path / "other-vectors")
+        corpus = out / "corpus.jsonl"
+        built = out / "a.vec"
+        built.write_bytes((out / "embeddings-gram3.vec").read_bytes())
+        table = load_vectors(built)
+        if change == "rescaled":
+            other = EmbeddingTable(table.vocab, table.vectors * 2.0 + 0.5)
+        else:
+            order = np.arange(len(table.vocab.tokens))[::-1]
+            tokens = [table.vocab.tokens[i] for i in order]
+            other = EmbeddingTable(Vocab(tokens, None), table.vectors[order])
+        save_vectors(other, out / "b.vec")
+        assert run("build-index", "--corpus", corpus, "--out", out, "--embedding-source", built) == 0
+        capsys.readouterr()
+        extract = ("extract-candidates", "--corpus", corpus, "--out", out, "--k", 5)
+        assert run(*extract, "--embedding-source", out / "b.vec") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: embedding_source:")
+        assert str(out / "b.vec") in err and "rerun build-index" in err
+        assert not list(out.glob("candidates-*.jsonl"))
+        assert run(*extract, "--embedding-source", built) == 0
+        assert load_pairs(out / "candidates-gram3-external.jsonl")
 
     def test_solver_failure_leaves_a_replayable_instance(
         self, chain, tmp_path, capsys, monkeypatch

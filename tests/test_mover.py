@@ -610,6 +610,72 @@ class TestTopkQuery:
         assert len(asked) == len(set(asked)) == 60 - stats.pruned  # once per visited candidate
         assert stats.exact_evaluations <= sum(doc_id.endswith("7") for doc_id in asked)
 
+    @staticmethod
+    def _count_greedy_plans(monkeypatch) -> list:
+        """Record every greedy plan built, upper bounds and start trees alike."""
+        plans = []
+        greedy = mover._greedy_arcs
+        monkeypatch.setattr(mover, "_greedy_arcs", lambda *args: plans.append(args) or greedy(*args))
+        return plans
+
+    def test_keep_rejecting_everything_ranks_only_the_seed(self, monkeypatch):
+        # with no kept hit no dropped candidate's rank matters: only the
+        # first k, which seed the cutoff, get a greedy plan
+        rng = np.random.default_rng(15)
+        table, docs = _random_corpus(rng, 60)
+        index = build_index(docs, table, COSINE)
+        plans = self._count_greedy_plans(monkeypatch)
+        stats = SearchStats()
+        assert topk_query(docs[7][1], index, k=5, stats=stats, keep=lambda doc_id: False) == []
+        assert stats.certified == stats.exact_evaluations == 0
+        assert len(plans) <= 5
+        assert stats.upper_bounds == len(plans)
+        assert stats.held == 60 - stats.pruned
+
+    def test_kept_exact_duplicate_is_a_hit_without_certification(self, monkeypatch):
+        # no dropped candidate's bound reaches distance 0, so nothing is
+        # ranked past the seed: k - 1 upper bounds and the hit's start tree
+        rng = np.random.default_rng(17)
+        table, docs = _random_corpus(rng, 60)
+        index = build_index(docs, table, COSINE)
+        query_id, query = docs[7]
+        plans = self._count_greedy_plans(monkeypatch)
+        stats = SearchStats()
+        assert topk_query(query, index, k=5, stats=stats, keep=query_id.__eq__) == [(query_id, 0.0)]
+        assert stats.certified == 0 and stats.exact_evaluations == 1
+        assert len(plans) == 5
+        assert stats.upper_bounds == 4
+
+    def test_k_beyond_the_index_under_keep_returns_every_kept_document(self):
+        # the cutoff never becomes finite: every candidate is visited and
+        # every dropped one seeds it
+        rng = np.random.default_rng(18)
+        table, docs = _random_corpus(rng, 12)
+        index = build_index(docs, table, COSINE)
+        chosen = {doc_id for doc_id, _ in docs[::3]}
+        stats = SearchStats()
+        hits = topk_query(docs[1][1], index, k=50, stats=stats, keep=chosen.__contains__)
+        expected = exhaustive_topk(docs[1][1], docs, table, COSINE, 50)
+        assert hits == [hit for hit in expected if hit[0] in chosen]
+        assert len(hits) == len(chosen) == stats.exact_evaluations
+        assert stats.pruned == stats.early_stopped == 0
+        assert stats.held == stats.upper_bounds == 12 - len(chosen)
+
+    def test_keep_stats_repeat_exactly(self):
+        rng = np.random.default_rng(19)
+        table, docs = _random_corpus(rng, 60)
+        index = build_index(docs, table, COSINE)
+        runs = []
+        for _ in range(2):
+            stats = SearchStats()
+            hits = [
+                topk_query(docs[q][1], index, k=5, stats=stats, keep=lambda doc_id: doc_id[-1] in "37")
+                for q in range(0, 60, 6)
+            ]
+            runs.append((hits, stats))
+        assert runs[0] == runs[1]
+        assert runs[0][1].upper_bounds > 0 and runs[0][1].certified > 0
+
     def test_euclidean_query_centroid_computed_once(self, monkeypatch):
         rng = np.random.default_rng(16)
         table, docs = _random_corpus(rng, 20)
