@@ -34,7 +34,7 @@ from .classify import (
 from .corpus import Corpus, load_corpus, save_corpus, split_by_date
 from .embed import EmbeddingTable, SgnsConfig, Vocab, load_vectors, save_vectors, train_sgns
 from .ingredients import ANNOTATION_THRESHOLD
-from .mover import COSINE, METRICS, GramHistogram, MoverIndex, PreparedDoc, SolverError, build_index
+from .mover import COSINE, METRICS, MoverIndex, SolverError, build_index
 from .pipeline import (
     GRAM3,
     GRANULARITIES,
@@ -245,13 +245,8 @@ def train_digest(train: Corpus) -> int:
 
 
 def save_index(path: Path, index: MoverIndex, granularity: str, method: str, digest: int) -> None:
-    """Write the index as CSR arrays, with `digest`, the `train_digest` of
-    the recipes it was built from."""
-    hists = [entry.hist for entry in index.entries]
-    supports = np.concatenate([np.zeros(0, dtype=np.int64)] + [hist.support for hist in hists])
-    weights = np.concatenate([np.zeros(0, dtype=np.float64)] + [hist.weights for hist in hists])
-    offsets = np.zeros(len(hists) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(hist.support) for hist in hists], dtype=np.int64)
+    """Write the index's CSR arrays as they are, with `digest`, the
+    `train_digest` of the recipes it was built from."""
 
     def writer(tmp: Path) -> None:
         # hand savez an open handle: with a bare path it appends ".npz",
@@ -261,10 +256,10 @@ def save_index(path: Path, index: MoverIndex, granularity: str, method: str, dig
                 handle,
                 tokens=np.array(index.table.vocab.tokens, dtype=str),
                 vectors=index.table.vectors,
-                doc_ids=np.array([entry.doc_id for entry in index.entries], dtype=str),
-                offsets=offsets,
-                supports=supports,
-                weights=weights,
+                doc_ids=index.doc_ids,
+                offsets=index.offsets,
+                supports=index.supports,
+                weights=index.weights,
                 skipped=np.array(index.skipped, dtype=str),
                 granularity=np.array(granularity),
                 metric=np.array(index.metric),
@@ -284,11 +279,9 @@ _INDEX_ARRAYS = {
 
 
 def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Reject a missing array, an array of the wrong dtype kind or ndim,
-    and CSR arrays that do not fit together: one nonempty run of supports
-    and weights per doc id, with support ids inside the stored vocabulary.
-    The error names the file and the array. Each document's own histogram
-    is checked by `GramHistogram`."""
+    """Reject a missing array and an array of the wrong dtype kind or ndim,
+    naming the file and the array. `MoverIndex` checks that the CSR arrays
+    fit together, and `GramHistogram` each document's histogram."""
     missing = [name for name in _INDEX_ARRAYS if name not in arrays]
     if missing:
         raise ValueError(f"{path}: missing index arrays: {', '.join(missing)}")
@@ -299,53 +292,23 @@ def _check_index_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
                 f"{path}: {name} is a {array.ndim}-d {array.dtype} array, "
                 f"not {ndim}-d of dtype kind {kind!r}"
             )
-    tokens, doc_ids, offsets, supports, weights = (
-        arrays[name] for name in ("tokens", "doc_ids", "offsets", "supports", "weights")
-    )
-    if len(doc_ids) != len(offsets) - 1:
-        raise ValueError(
-            f"{path}: doc_ids has {len(doc_ids)} entries, "
-            f"but offsets delimits {len(offsets) - 1} documents"
-        )
-    if offsets[0] != 0 or offsets[-1] != len(supports) or np.any(np.diff(offsets) <= 0):
-        raise ValueError(
-            f"{path}: offsets must start at 0, rise at every document "
-            f"and end at {len(supports)}, the length of supports"
-        )
-    if len(weights) != len(supports):
-        raise ValueError(
-            f"{path}: weights has {len(weights)} entries, supports has {len(supports)}"
-        )
-    if len(supports) and (supports.min() < 0 or supports.max() >= len(tokens)):
-        raise ValueError(f"{path}: supports holds ids outside [0, {len(tokens)})")
 
 
 def load_index(path: Path) -> tuple[MoverIndex, str, str, int]:
     """The index `save_index` wrote, its granularity, method and train
     digest: each document's histogram is a view into the stored CSR arrays.
-    Arrays that `_check_index_arrays` rejects and histograms that
-    `GramHistogram` rejects raise ValueError naming the file."""
+    Arrays that `_check_index_arrays`, `EmbeddingTable` or `MoverIndex`
+    rejects raise ValueError naming the file."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
     _check_index_arrays(path, arrays)
-    granularity = str(arrays["granularity"])
-    offsets, supports, weights = arrays["offsets"], arrays["supports"], arrays["weights"]
-    bounds = zip(arrays["doc_ids"].tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
     try:
-        vocab = Vocab(tokens=arrays["tokens"].tolist(), counts=None)
-        table = EmbeddingTable(vocab=vocab, vectors=arrays["vectors"])
+        table = EmbeddingTable(Vocab(arrays["tokens"].tolist(), None), arrays["vectors"])
+        csr = (arrays[name] for name in ("doc_ids", "offsets", "supports", "weights"))
+        index = MoverIndex(table, str(arrays["metric"]), *csr, arrays["skipped"].tolist())
     except ValueError as error:
         raise ValueError(f"{path}: {error}") from None
-    entries = []
-    try:
-        for doc_id, lo, hi in bounds:
-            entries.append(PreparedDoc(doc_id, GramHistogram(supports[lo:hi], weights[lo:hi])))
-    except ValueError as error:
-        raise ValueError(
-            f"{path}: supports and weights of document {doc_id!r}: {error}"
-        ) from None
-    index = MoverIndex(table, str(arrays["metric"]), entries, arrays["skipped"].tolist())
-    return index, granularity, str(arrays["method"]), int(arrays["train_digest"])
+    return index, str(arrays["granularity"]), str(arrays["method"]), int(arrays["train_digest"])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -619,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(1,),
         help="accepted for compatibility and must be 1: every subcommand runs on one thread",
     )
-    common.add_argument("--verbose", action="store_true")
     sgns_help = "SGNS setting for the instruction embeddings only; the ingredient table's are fixed"
     for f in fields(SgnsConfig):
         if f.name != "seed":
@@ -647,9 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
         config = resolve_config(args)

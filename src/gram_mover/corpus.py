@@ -20,11 +20,13 @@ _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
 class RecipeParseError(ValueError):
-    """A malformed recipe record; ``field`` names the offending key."""
+    """A malformed recipe record: `field` names the offending key and
+    `reason` says what is wrong with it."""
 
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
+    def __init__(self, field_name: str, reason: str):
+        super().__init__(f"{field_name}: {reason}")
         self.field = field_name
+        self.reason = reason
 
 
 class PairLabel(enum.Enum):
@@ -164,7 +166,7 @@ def load_corpus(path: str | Path) -> Corpus:
             try:
                 recipes.append(parse_recipe_record(line))
             except RecipeParseError as exc:
-                raise RecipeParseError(exc.field, f"line {lineno}: {exc}") from exc
+                raise RecipeParseError(exc.field, f"line {lineno}: {exc.reason}") from exc
     return Corpus(recipes)
 
 

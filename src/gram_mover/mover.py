@@ -32,9 +32,10 @@ computed; each bound once, and a solve again only with a higher cutoff
 (the threshold algorithm of Fagin, Lotem and Naor, with lower and upper
 bounds per candidate).
 
-An index keeps one float64 ground-row table for its whole vocabulary, built
-on first use, and gathers each pair's rows from it: memory O(vocab · d), not
-O(total support entries · d).
+An index holds its documents in the CSR arrays it is saved as, and checks
+them when built. It keeps one float64 ground-row table for its whole
+vocabulary, built on first use, and gathers each pair's rows from it:
+memory O(vocab · d), not O(total support entries · d).
 """
 
 from __future__ import annotations
@@ -521,14 +522,49 @@ class PreparedDoc:
 class MoverIndex:
     """Histograms of a corpus side, prepared for repeated top-k queries.
 
+    Document i is `doc_ids[i]` with the runs `offsets[i]:offsets[i + 1]` of
+    `supports` and `weights`, which `entries[i].hist` views. Building one
+    checks the arrays, each histogram (naming its doc id) and the metric.
     `rows` is the one ground-row table of the whole vocabulary, built on the
     first query, so its memory is O(vocab · d); each pair's cost is built
-    from rows gathered out of it. Documents keep only their histograms."""
+    from rows gathered out of it."""
 
     table: EmbeddingTable
     metric: str
-    entries: list[PreparedDoc]
+    doc_ids: np.ndarray  # (N,) str
+    offsets: np.ndarray  # (N + 1,) int, from 0, rising
+    supports: np.ndarray  # (offsets[-1],) int token ids
+    weights: np.ndarray  # (offsets[-1],) float
     skipped: list[str] = field(default_factory=list)
+    entries: list[PreparedDoc] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown ground metric {self.metric!r}")
+        offsets, supports, weights = self.offsets, self.supports, self.weights
+        if len(self.doc_ids) != len(offsets) - 1:
+            raise ValueError(
+                f"doc_ids has {len(self.doc_ids)} entries, "
+                f"but offsets delimits {len(offsets) - 1} documents"
+            )
+        if offsets[0] != 0 or offsets[-1] != len(supports) or np.any(np.diff(offsets) <= 0):
+            raise ValueError(
+                f"offsets must start at 0, rise at every document "
+                f"and end at {len(supports)}, the length of supports"
+            )
+        if len(weights) != len(supports):
+            raise ValueError(f"weights has {len(weights)} entries, supports has {len(supports)}")
+        vocab_size = len(self.table.vocab.tokens)
+        if len(supports) and (supports.min() < 0 or supports.max() >= vocab_size):
+            raise ValueError(f"supports holds ids outside [0, {vocab_size})")
+        self.entries = []
+        bounds = zip(self.doc_ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+        try:
+            for doc_id, lo, hi in bounds:
+                hist = GramHistogram(supports[lo:hi], weights[lo:hi])
+                self.entries.append(PreparedDoc(doc_id, hist))
+        except ValueError as error:
+            raise ValueError(f"supports and weights of document {doc_id!r}: {error}") from None
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -559,19 +595,20 @@ def build_index(
     table: EmbeddingTable,
     metric: str = COSINE,
 ) -> MoverIndex:
-    if metric not in METRICS:
-        raise ValueError(f"unknown ground metric {metric!r}")
-    entries = []
-    skipped = []
+    """Index every document with an embeddable token; log and skip the rest."""
+    doc_ids, hists, skipped = [], [], []
     for doc_id, tokens in docs:
         try:
-            hist = nbow(tokens, table)
+            hists.append(nbow(tokens, table))
+            doc_ids.append(doc_id)
         except ValueError:
             logger.warning("skipping unembeddable document %s", doc_id)
             skipped.append(doc_id)
-            continue
-        entries.append(PreparedDoc(doc_id=doc_id, hist=hist))
-    return MoverIndex(table=table, metric=metric, entries=entries, skipped=skipped)
+    offsets = np.cumsum([0] + [len(hist.support) for hist in hists], dtype=np.int64)
+    supports = np.concatenate([np.zeros(0, dtype=np.int64)] + [hist.support for hist in hists])
+    weights = np.concatenate([np.zeros(0, dtype=np.float64)] + [hist.weights for hist in hists])
+    doc_ids = np.array(doc_ids, dtype=str)
+    return MoverIndex(table, metric, doc_ids, offsets, supports, weights, skipped)
 
 
 def topk_query(

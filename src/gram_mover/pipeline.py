@@ -375,7 +375,21 @@ def pair_to_record(pair: CandidatePair) -> str:
     return json.dumps({**asdict(pair), "label": pair.label.value}, ensure_ascii=False)
 
 
+#: each pair-record field's JSON types, and what the error calls them; a
+#: bool, though an int in Python, is none of them
+_PAIR_FIELD_TYPES = {
+    "query_id": ((str,), "a string"),
+    "candidate_id": ((str,), "a string"),
+    "method": ((str,), "a string"),
+    "instruction_distance": ((int, float), "a number"),
+    "ingredients_distance": ((int,), "an integer"),
+    "label": ((str,), "a string"),
+}
+
+
 def parse_pair_record(line: str) -> CandidatePair:
+    """One pair record, each field checked against its JSON type, not
+    coerced to it; an error names the field."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as error:
@@ -385,12 +399,20 @@ def parse_pair_record(line: str) -> CandidatePair:
     missing = [f.name for f in fields(CandidatePair) if f.name not in record]
     if missing:
         raise ValueError(f"pair record missing fields: {', '.join(missing)}")
+    for name, (types, expected) in _PAIR_FIELD_TYPES.items():
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{name}: expected {expected}, got {type(value).__name__}")
+    try:
+        instruction_distance = float(record["instruction_distance"])
+    except OverflowError:
+        raise ValueError("instruction_distance: too large for a float") from None
     return CandidatePair(
-        query_id=str(record["query_id"]),
-        candidate_id=str(record["candidate_id"]),
-        method=str(record["method"]),
-        instruction_distance=float(record["instruction_distance"]),
-        ingredients_distance=int(record["ingredients_distance"]),
+        query_id=record["query_id"],
+        candidate_id=record["candidate_id"],
+        method=record["method"],
+        instruction_distance=instruction_distance,
+        ingredients_distance=record["ingredients_distance"],
         label=PairLabel.parse(record["label"]),
     )
 

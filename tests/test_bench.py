@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gram_mover
+from gram_mover.pipeline import load_pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -30,6 +31,12 @@ def _run(script: str, *argv: str) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_generated_pool_loads_as_pair_records(tmp_path):
+    _run("gen.py", "--workload", "planted-gram3", "--seed", "100", "--dir", str(tmp_path))
+    pairs = load_pairs(tmp_path / "pool.jsonl")
+    assert len(pairs) == 15 and {pair.method for pair in pairs} == {"annotated-pool"}
 
 
 @pytest.mark.parametrize("workload", ["planted-gram3", "word-batch"])

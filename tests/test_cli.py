@@ -406,6 +406,17 @@ class TestNoBaselineWordsSetting:
         assert err.startswith("config error: baseline_words:") and "unknown setting" in err
 
 
+class TestNoVerboseFlag:
+    """The package logs nothing below INFO, so there is no switch to show
+    more."""
+
+    def test_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("report", "--out", tmp_path, "--verbose")
+        assert exit_info.value.code == 2
+        assert "--verbose" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_corpus_setting_is_a_config_error(self, tmp_path, capsys):
         assert run("train-embeddings", "--out", tmp_path) == 2
@@ -467,6 +478,18 @@ class TestExitCodes:
         bad.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
         assert run("build-index", "--corpus", bad, "--out", tmp_path / "out") == 1
         assert "error" in capsys.readouterr().err
+
+    def test_corpus_error_names_the_field_once_and_the_line(self, tmp_path, capsys):
+        corpus = _tiny_corpus(tmp_path / "corpus.jsonl")
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["published"] = "2016-1-1"
+        lines[1] = json.dumps(record, ensure_ascii=False)
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("build-index", "--corpus", corpus, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: published: line 2: expected YYYY-MM-DD, got '2016-1-1'\n"
+        )
 
 
 class TestSynthCommand:

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import GRAM3, make_cost, make_histogram, make_table, random_instance
 from gram_mover import mover
-from gram_mover.cli import load_index, save_index
+from gram_mover.cli import _INDEX_ARRAYS, load_index, save_index
 from gram_mover.mover import (
     COSINE,
     EUCLIDEAN,
     CostMatrix,
     GramHistogram,
+    MoverIndex,
     SearchStats,
     SolverError,
     TransportPlan,
@@ -760,6 +761,31 @@ class TestIndexPersistence:
             assert topk_query(docs[q][1], loaded, k) == hits
             assert hits[:6] == exhaustive_topk(docs[q][1], docs, table, metric, 6)
 
+    def test_saved_index_loads_with_equal_arrays_and_hits(self, tmp_path):
+        rng = np.random.default_rng(15)
+        table, docs = _random_corpus(rng, 30)
+        docs.insert(4, ("unembeddable", _tokens("zz")))
+        index = build_index(docs, table, COSINE)
+        assert index.skipped == ["unembeddable"]
+        path = tmp_path / "index.npz"
+        save_index(path, index, GRAM3, "gram3-sgns", 0)
+        loaded = load_index(path)[0]
+        for name in ("doc_ids", "offsets", "supports", "weights", "skipped"):
+            built, stored = np.asarray(getattr(index, name)), np.asarray(getattr(loaded, name))
+            assert built.dtype == stored.dtype and np.array_equal(built, stored), name
+        for q in range(0, 30, 5):
+            assert topk_query(docs[q][1], loaded, 5) == topk_query(docs[q][1], index, 5)
+
+    def test_save_index_writes_exactly_the_declared_arrays(self, tmp_path):
+        rng = np.random.default_rng(16)
+        table, docs = _random_corpus(rng, 8)
+        path = tmp_path / "index.npz"
+        save_index(path, build_index(docs, table, COSINE), GRAM3, "gram3-sgns", 7)
+        with np.load(path, allow_pickle=False) as data:
+            assert sorted(data.files) == sorted(_INDEX_ARRAYS)
+            for name, (kind, ndim) in _INDEX_ARRAYS.items():
+                assert (data[name].dtype.kind, data[name].ndim) == (kind, ndim), name
+
 
 class TestBenchmarkContract:
     """What the traced benchmark run reads from the package."""
@@ -823,6 +849,60 @@ class TestBuildIndex:
         table = make_table({"aa": [1, 0]})
         with pytest.raises(ValueError, match="metric"):
             build_index([("good", _tokens("aa"))], table, "manhattan")
+
+
+class TestMoverIndexChecks:
+    """`MoverIndex` checks its CSR arrays when built, with no file involved."""
+
+    TABLE = make_table({"aa": [1, 0], "bb": [0, 1], "cc": [1, 1]})
+
+    @staticmethod
+    def _arrays(**changed):
+        """Two documents, {aa, bb} and {cc}, with the arrays in `changed`
+        replaced."""
+        arrays = {
+            "doc_ids": np.array(["d0", "d1"]),
+            "offsets": np.array([0, 2, 3]),
+            "supports": np.array([0, 1, 2]),
+            "weights": np.array([0.5, 0.5, 1.0]),
+        }
+        return {**arrays, **{name: np.array(value) for name, value in changed.items()}}
+
+    def test_each_entry_views_its_run_of_the_arrays(self):
+        index = MoverIndex(self.TABLE, COSINE, **self._arrays())
+        assert [entry.doc_id for entry in index.entries] == ["d0", "d1"]
+        assert index.entries[1].hist.support.tolist() == [2]
+        for entry in index.entries:
+            assert np.shares_memory(entry.hist.support, index.supports)
+            assert np.shares_memory(entry.hist.weights, index.weights)
+
+    @pytest.mark.parametrize(
+        "changed, message",
+        [
+            ({"doc_ids": ["d0"]}, "doc_ids has 1 entries, but offsets delimits 2 documents"),
+            ({"offsets": [1, 2, 3]}, "offsets must start at 0"),
+            ({"offsets": [0, 0, 3]}, "offsets must start at 0, rise at every document"),
+            ({"offsets": [0, 2, 4]}, "and end at 3, the length of supports"),
+            ({"weights": [0.5, 0.5]}, "weights has 2 entries, supports has 3"),
+            ({"supports": [0, 1, 3]}, r"supports holds ids outside \[0, 3\)"),
+            ({"supports": [-1, 1, 2]}, r"supports holds ids outside \[0, 3\)"),
+        ],
+        ids=[
+            "doc_ids", "offsets start", "empty document", "offsets end", "weights",
+            "support past vocabulary", "negative support",
+        ],
+    )
+    def test_arrays_that_do_not_fit_together_are_rejected(self, changed, message):
+        with pytest.raises(ValueError, match=message):
+            MoverIndex(self.TABLE, COSINE, **self._arrays(**changed))
+
+    def test_bad_histogram_names_its_document(self):
+        with pytest.raises(ValueError, match="document 'd1': weights must be strictly positive"):
+            MoverIndex(self.TABLE, COSINE, **self._arrays(weights=[0.5, 0.5, np.nan]))
+
+    def test_unknown_metric_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown ground metric 'manhattan'"):
+            MoverIndex(self.TABLE, "manhattan", **self._arrays())
 
 
 class TestSolverError:

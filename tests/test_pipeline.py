@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime
+import json
 import math
 
 import numpy as np
@@ -384,6 +385,37 @@ class TestPairPersistence:
         path = tmp_path / "pairs.jsonl"
         save_pairs([self.PAIR], path)
         assert load_pairs(path) == [self.PAIR]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("query_id", 5),
+            ("candidate_id", True),
+            ("method", 3.5),
+            ("instruction_distance", "0.25"),
+            ("instruction_distance", True),
+            ("ingredients_distance", 1.7),
+            ("ingredients_distance", False),
+            ("label", 5),
+        ],
+    )
+    def test_field_of_another_type_is_rejected_naming_it(self, name, value):
+        record = json.loads(pair_to_record(self.PAIR))
+        record[name] = value
+        with pytest.raises(ValueError, match=f"^{name}: expected "):
+            parse_pair_record(json.dumps(record))
+
+    def test_instruction_distance_past_float_range_is_rejected_naming_it(self):
+        huge = "1" + "0" * 400  # a JSON number no float holds
+        line = pair_to_record(self.PAIR).replace("0.25", huge)
+        with pytest.raises(ValueError, match="^instruction_distance: "):
+            parse_pair_record(line)
+
+    def test_integral_instruction_distance_is_a_number(self):
+        record = json.loads(pair_to_record(self.PAIR))
+        record["instruction_distance"] = 0
+        pair = parse_pair_record(json.dumps(record))
+        assert pair.instruction_distance == 0.0 and isinstance(pair.instruction_distance, float)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing"):
